@@ -5,6 +5,7 @@
 #include <optional>
 #include <vector>
 
+#include "bgp/announcement.hpp"
 #include "bgp/types.hpp"
 #include "netsim/ip.hpp"
 #include "netsim/prefix_trie.hpp"
@@ -54,5 +55,15 @@ class RoaRegistry {
   netsim::PrefixTrie<std::vector<Roa>> trie_;
   std::size_t count_ = 0;
 };
+
+/// Route Origin Validation as a filter: false iff `roas` is set and `ann`
+/// validates Invalid. A locally originated route (empty path) has no origin
+/// to validate and always passes. This is the per-candidate rule a cloud
+/// edge applies to its Adj-RIB-In (cloud::CloudProviderModel::select_egress).
+[[nodiscard]] inline bool passes_rov(const Announcement& ann,
+                                     const RoaRegistry* roas) {
+  return roas == nullptr || ann.as_path.empty() ||
+         roas->validate(ann.prefix, ann.origin()) != RpkiValidity::Invalid;
+}
 
 }  // namespace marcopolo::bgp

@@ -1,5 +1,7 @@
 #include "bgp/scenario.hpp"
 
+#include <algorithm>
+
 #include "bgp/attack_model.hpp"
 
 namespace marcopolo::bgp {
@@ -81,7 +83,7 @@ void HijackScenario::reset(const AsGraph& graph, NodeId victim,
 void HijackScenario::reset_incremental(DeltaPropagation& delta,
                                        NodeId adversary,
                                        const ScenarioConfig& config,
-                                       PropagationWorkspace& ws) {
+                                       PropagationWorkspace& /*ws*/) {
   const AsGraph& graph = delta.graph();
   const NodeId victim = delta.victim();
   if (victim == adversary) {
@@ -127,14 +129,11 @@ void HijackScenario::reset_incremental(DeltaPropagation& delta,
     delta.replay_none();
   }
   if (plan.sub_prefix.has_value()) {
-    // A distinct prefix cannot ride the baseline; it needs its own (full,
-    // separate) propagation.
-    PropagationConfig pc{config.tie_break, salt, config.roas,
-                         config.metrics, config.flight};
-    auto& seeds = ws.seeds;
-    seeds.clear();
-    seeds.push_back(SeededRoute{adversary, *plan.sub_prefix});
-    propagate_into(graph, seeds, pc, ws, sub_);
+    // A distinct prefix cannot ride the baseline, but it needs no flood
+    // either: its only origin is the adversary, so all a query can ask is
+    // whether a node holds it — the valley-free closure from the adversary,
+    // evaluated lazily per queried node (bgp/reachability.hpp).
+    sub_reach_.reset(graph, adversary, *plan.sub_prefix, config.roas);
     has_sub_ = true;
   }
 }
@@ -175,10 +174,19 @@ const std::optional<RouteCandidate>& HijackScenario::primary_best(
   return v.best;
 }
 
+bool HijackScenario::sub_holds(NodeId n, const RoaRegistry* roas) const {
+  if (delta_ != nullptr) return sub_reach_.holds_valid(n, roas);
+  // Full mode: the flood's own Adj-RIB-In, filtered exactly as a cloud
+  // edge's egress selection filters its candidates.
+  return std::ranges::any_of(sub_.rib_in[n.value], [roas](const auto& c) {
+    return passes_rov(c.ann, roas);
+  });
+}
+
 OriginReached HijackScenario::reached(NodeId from) const {
   // Longest-prefix match: the sub-prefix route (if any) wins over the
   // covering prefix.
-  if (has_sub_ && sub_.reachable(from)) return OriginReached::Adversary;
+  if (holds_more_specific(from)) return OriginReached::Adversary;
   const auto role = delta_ != nullptr ? delta_->role_reached(from)
                                       : primary_.role_reached(from);
   if (!role) return OriginReached::None;

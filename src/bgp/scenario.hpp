@@ -12,6 +12,7 @@
 
 #include "bgp/delta.hpp"
 #include "bgp/propagation.hpp"
+#include "bgp/reachability.hpp"
 
 namespace marcopolo::bgp {
 
@@ -102,11 +103,14 @@ class HijackScenario {
 
   /// Incremental variant: re-evaluate this scenario against `delta`'s
   /// cached victim baseline (delta carries the graph, victim, and prefix)
-  /// by replaying only the adversary's announcement. Equivalent to reset()
-  /// with the same parameters — every query answers identically — except
-  /// that primary() is unavailable; use primary_rib()/primary_best(),
+  /// by replaying only the adversary's announcement. A more-specific
+  /// announcement is not flooded at all: it is answered by a lazy
+  /// valley-free reachability query (bgp/reachability.hpp). Equivalent to
+  /// reset() with the same parameters — every query answers identically —
+  /// except that primary() is unavailable; use primary_rib()/primary_best(),
   /// which materialize on demand. `delta` must outlive the scenario's next
-  /// reset and must not be replayed by anyone else in between.
+  /// reset and must not be replayed by anyone else in between. `ws` is
+  /// unused: no incremental plan needs the full engine's scratch.
   void reset_incremental(DeltaPropagation& delta, NodeId adversary,
                          const ScenarioConfig& config,
                          PropagationWorkspace& ws);
@@ -114,6 +118,17 @@ class HijackScenario {
   /// Which origin traffic from `from` reaches when addressed to the
   /// validation target (longest-prefix match across announcements).
   [[nodiscard]] OriginReached reached(NodeId from) const;
+
+  /// Whether node n holds a more-specific (sub-prefix) route that survives
+  /// ROV against `roas` (null = no filter; a cloud edge passes its own
+  /// ROAs). Such a route wins longest-prefix match for the target, so this
+  /// is the whole of what the sub-prefix plane contributes to reached()
+  /// and to a backbone's egress decision. Full mode answers from the
+  /// flood's Adj-RIB-In; incremental mode from the reachability closure.
+  [[nodiscard]] bool holds_more_specific(
+      NodeId n, const RoaRegistry* roas = nullptr) const {
+    return has_sub_ && sub_holds(n, roas);
+  }
 
   /// Target address the CA perspectives will validate against.
   [[nodiscard]] netsim::Ipv4Addr target_address() const { return target_; }
@@ -147,12 +162,6 @@ class HijackScenario {
   [[nodiscard]] const std::optional<RouteCandidate>& primary_best(
       NodeId n) const;
 
-  /// Propagation state for the adversary's sub-prefix (SubPrefix attacks
-  /// only).
-  [[nodiscard]] const PropagationResult* sub_prefix() const {
-    return has_sub_ ? &sub_ : nullptr;
-  }
-
   /// Fraction of ASes routing to the adversary (diagnostic).
   [[nodiscard]] double adversary_capture_fraction() const;
 
@@ -170,9 +179,11 @@ class HijackScenario {
   netsim::Ipv4Prefix prefix_;
   netsim::Ipv4Addr target_;
   PropagationResult primary_;
-  // Sub-prefix storage is kept alive across reset() calls (capacity reuse);
-  // has_sub_ says whether it is meaningful for the current attack.
+  // More-specific state: the full flood (full mode) or the reachability
+  // closure (incremental mode). Both are kept alive across resets
+  // (capacity reuse); has_sub_ says whether the current attack has one.
   PropagationResult sub_;
+  SingleOriginReach sub_reach_;
   bool has_sub_ = false;
   std::size_t node_count_ = 0;
   // Victim-only baseline, populated in full mode only for attack models
@@ -196,6 +207,7 @@ class HijackScenario {
   };
   mutable std::vector<NodeView> views_;
   [[nodiscard]] NodeView& view_of(NodeId n) const;
+  [[nodiscard]] bool sub_holds(NodeId n, const RoaRegistry* roas) const;
 };
 
 }  // namespace marcopolo::bgp

@@ -162,20 +162,13 @@ const bgp::RouteCandidate* CloudProviderModel::select_egress_explained(
     std::size_t perspective, std::span<const bgp::RouteCandidate> rib,
     const bgp::RouteComparator& cmp, const bgp::RoaRegistry* roas,
     ResolveExplanation* why) const {
-  if (perspective >= regions_.size()) {
-    throw std::out_of_range("perspective index");
-  }
+  check_perspective(perspective);
 
   // Drop RPKI-invalid candidates if the backbone enforces ROV.
   std::vector<const bgp::RouteCandidate*> valid;
   valid.reserve(rib.size());
   for (const bgp::RouteCandidate& c : rib) {
-    if (roas != nullptr && !c.ann.as_path.empty() &&
-        roas->validate(c.ann.prefix, c.ann.origin()) ==
-            bgp::RpkiValidity::Invalid) {
-      continue;
-    }
-    valid.push_back(&c);
+    if (bgp::passes_rov(c.ann, roas)) valid.push_back(&c);
   }
   if (why != nullptr) {
     why->contested = false;
@@ -407,13 +400,14 @@ bgp::OriginReached CloudProviderModel::resolve(
     std::size_t perspective, const bgp::HijackScenario& scenario,
     const bgp::RoaRegistry* roas) const {
   const bgp::RouteComparator& cmp = scenario.comparator();
-  // A more-specific route, if the backbone heard one, wins longest-prefix
-  // match for the target no matter which egress a covering route would use.
-  if (const auto* sub = scenario.sub_prefix()) {
-    const auto& sub_rib = sub->rib_in[backbone_.value];
-    if (select_egress(perspective, sub_rib, cmp, roas) != nullptr) {
-      return bgp::OriginReached::Adversary;
-    }
+  // A more-specific route, if the backbone holds one that survives its
+  // ROAs, wins longest-prefix match for the target no matter which egress a
+  // covering route would use. Every candidate for it shares one prefix and
+  // origin, so egress selection over them would pick *some* route exactly
+  // when one survives: the scenario answers that without a RIB.
+  if (scenario.holds_more_specific(backbone_, roas)) {
+    check_perspective(perspective);
+    return bgp::OriginReached::Adversary;
   }
   const auto& rib = scenario.primary_rib(backbone_);
   const bgp::RouteCandidate* chosen = select_egress(perspective, rib, cmp, roas);
@@ -428,13 +422,11 @@ ResolveExplanation CloudProviderModel::resolve_explained(
     const bgp::RoaRegistry* roas) const {
   const bgp::RouteComparator& cmp = scenario.comparator();
   ResolveExplanation why;
-  if (const auto* sub = scenario.sub_prefix()) {
-    const auto& sub_rib = sub->rib_in[backbone_.value];
-    if (select_egress(perspective, sub_rib, cmp, roas) != nullptr) {
-      why.outcome = bgp::OriginReached::Adversary;
-      why.decided_by = obs::VerdictStep::MoreSpecific;
-      return why;
-    }
+  if (scenario.holds_more_specific(backbone_, roas)) {
+    check_perspective(perspective);
+    why.outcome = bgp::OriginReached::Adversary;
+    why.decided_by = obs::VerdictStep::MoreSpecific;
+    return why;
   }
   const auto& rib = scenario.primary_rib(backbone_);
   const bgp::RouteCandidate* chosen =

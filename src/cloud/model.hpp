@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "bgp/scenario.hpp"
@@ -135,6 +136,12 @@ class CloudProviderModel {
       const bgp::RoaRegistry* roas = nullptr) const;
 
  private:
+  void check_perspective(std::size_t perspective) const {
+    if (perspective >= regions_.size()) {
+      throw std::out_of_range("perspective index");
+    }
+  }
+
   CloudConfig config_;
   const bgp::AsGraph* graph_ = nullptr;  // set at wiring; outlives the model
   bgp::NodeId backbone_;

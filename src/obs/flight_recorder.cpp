@@ -102,8 +102,8 @@ void ProgressReporter::update(std::size_t done, std::size_t total) {
   const bool final = total != 0 && done >= total;
   if (final && printed_final_) return;
   if (!final) printed_final_ = false;  // a new run started; allow its final
-  if (!final &&
-      std::chrono::duration<double>(now - last_).count() < min_interval_) {
+  if (!final && last_.has_value() &&
+      std::chrono::duration<double>(now - *last_).count() < min_interval_) {
     return;
   }
   last_ = now;

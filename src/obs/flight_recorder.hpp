@@ -32,6 +32,7 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -108,7 +109,12 @@ struct TaskSpanRecord {
   std::uint8_t attack = 0;
 };
 
-/// One propagation-engine run (a task runs 1–2: SubPrefix attacks two).
+/// One propagation-engine run. A full-engine task records one flood, or
+/// two when its attack also floods the victim-only baseline (route leak)
+/// or a separate more-specific (sub-prefix). An incremental campaign
+/// records one run per announcer baseline and one per delta replay; a
+/// sub-prefix pair replays nothing and records none (its more-specific is
+/// a reachability query, not a flood).
 struct PropagationRunRecord {
   std::uint64_t start_ns = 0;
   std::uint64_t duration_ns = 0;
@@ -296,7 +302,10 @@ class ProgressReporter {
   double min_interval_;
   std::chrono::steady_clock::time_point start_;
   std::mutex mutex_;
-  std::chrono::steady_clock::time_point last_{};
+  /// When the last line was printed; empty until the first one, which is
+  /// never rate-limited (a default time_point is the clock's epoch, which
+  /// on steady_clock is host boot: "now - epoch" is just the uptime).
+  std::optional<std::chrono::steady_clock::time_point> last_;
   bool printed_final_ = false;
   // Output goes through a LineGuard so verbose Logger lines blank and
   // redraw the live line instead of splicing into it. stderr shares the

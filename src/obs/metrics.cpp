@@ -84,7 +84,7 @@ double HistogramSnapshot::quantile(double q) const {
 }
 
 const HistogramSnapshot* MetricsSnapshot::histogram(
-    std::string_view name) const {
+    std::string_view name) const& {
   for (const auto& h : histograms) {
     if (h.name == name) return &h;
   }

@@ -104,8 +104,12 @@ struct MetricsSnapshot {
 
   /// Counter value by name; 0 if absent.
   [[nodiscard]] std::uint64_t counter(std::string_view name) const;
-  /// Histogram by name; nullptr if absent.
-  [[nodiscard]] const HistogramSnapshot* histogram(std::string_view name) const;
+  /// Histogram by name; nullptr if absent. The pointer aims into this
+  /// snapshot, so calling it on a temporary would dangle at the end of the
+  /// full-expression: bind the snapshot to a local first.
+  [[nodiscard]] const HistogramSnapshot* histogram(
+      std::string_view name) const&;
+  const HistogramSnapshot* histogram(std::string_view name) && = delete;
 };
 
 class MetricsRegistry {

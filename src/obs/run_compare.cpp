@@ -28,12 +28,16 @@ ProvenanceSummary summarize_provenance(const FlightJournal& journal) {
 
 PhaseAttribution attribute_phases(const FlightJournal& journal) {
   PhaseAttribution out;
+  const auto add = [](PhaseSplit& split, const TaskSpanRecord& t) {
+    split.total_ns += t.duration_ns;
+    split.propagate_ns += t.propagate_ns;
+    split.classify_ns += t.classify_ns;
+    split.record_ns += t.record_ns;
+  };
   for (const auto& lane : journal.workers) {
     for (const TaskSpanRecord& t : lane.tasks) {
-      out.total_ns += t.duration_ns;
-      out.propagate_ns += t.propagate_ns;
-      out.classify_ns += t.classify_ns;
-      out.record_ns += t.record_ns;
+      add(out, t);
+      add(out.by_attack[t.attack], t);
     }
   }
   return out;

@@ -54,10 +54,10 @@ struct ProvenanceSummary {
 [[nodiscard]] ProvenanceSummary summarize_provenance(
     const FlightJournal& journal);
 
-/// Wall-clock attribution summed over all task spans: where did worker
-/// time actually go? `other_ns` is span time outside the three
-/// instrumented phases (scenario setup, queue overhead).
-struct PhaseAttribution {
+/// Wall-clock split of a set of task spans: where did worker time
+/// actually go? `other_ns` is span time outside the three instrumented
+/// phases (scenario setup, queue overhead).
+struct PhaseSplit {
   std::uint64_t total_ns = 0;
   std::uint64_t propagate_ns = 0;
   std::uint64_t classify_ns = 0;
@@ -67,6 +67,13 @@ struct PhaseAttribution {
     const std::uint64_t accounted = propagate_ns + classify_ns + record_ns;
     return total_ns > accounted ? total_ns - accounted : 0;
   }
+};
+
+/// The split summed over all task spans, and again per attack plane.
+struct PhaseAttribution : PhaseSplit {
+  /// Keyed by TaskSpanRecord::attack (the bgp::AttackType value); one
+  /// entry per tag present, so a single-attack journal has exactly one.
+  std::map<std::uint8_t, PhaseSplit> by_attack;
 };
 
 [[nodiscard]] PhaseAttribution attribute_phases(const FlightJournal& journal);

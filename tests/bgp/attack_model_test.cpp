@@ -145,7 +145,8 @@ TEST_F(RouteLeakTest, LeakCapturesTrafficWithoutOtc) {
   const HijackScenario s(net.graph(), victim_, adversary_, kPrefix, cfg);
   EXPECT_EQ(s.reached(victim_), OriginReached::Victim);
   EXPECT_EQ(s.reached(adversary_), OriginReached::Adversary);
-  EXPECT_EQ(s.sub_prefix(), nullptr) << "a leak contests only the /24";
+  EXPECT_FALSE(s.holds_more_specific(adversary_))
+      << "a leak contests only the /24";
   // The adversary's providers prefer the leaked customer route, so the
   // capture is material — but the victim's own cone holds.
   EXPECT_GT(s.adversary_capture_fraction(), 0.05);

@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 
+#include "bgp/attack_model.hpp"
 #include "testbed_fixture.hpp"
 
 namespace marcopolo::core {
@@ -20,17 +22,22 @@ using testing_support::shared_testbed;
 void expect_stores_identical(const ResultStore& a, const ResultStore& b) {
   ASSERT_EQ(a.num_sites(), b.num_sites());
   ASSERT_EQ(a.num_perspectives(), b.num_perspectives());
-  for (PerspectiveIndex p = 0; p < a.num_perspectives(); ++p) {
-    const auto lhs = a.hijack_words(p);
-    const auto rhs = b.hijack_words(p);
-    EXPECT_TRUE(std::equal(lhs.begin(), lhs.end(), rhs.begin()))
-        << "hijack words differ at perspective " << p;
-  }
-  for (SiteIndex v = 0; v < a.num_sites(); ++v) {
-    for (SiteIndex adv = 0; adv < a.num_sites(); ++adv) {
-      for (PerspectiveIndex p = 0; p < a.num_perspectives(); ++p) {
-        ASSERT_EQ(a.outcome(v, adv, p), b.outcome(v, adv, p))
-            << "outcome differs at (" << v << "," << adv << "," << p << ")";
+  ASSERT_EQ(a.num_attacks(), b.num_attacks());
+  for (std::size_t ai = 0; ai < a.num_attacks(); ++ai) {
+    const char* plane = bgp::to_cstring(a.attack_types()[ai]);
+    for (PerspectiveIndex p = 0; p < a.num_perspectives(); ++p) {
+      const auto lhs = a.hijack_words(ai, p);
+      const auto rhs = b.hijack_words(ai, p);
+      EXPECT_TRUE(std::equal(lhs.begin(), lhs.end(), rhs.begin()))
+          << plane << ": hijack words differ at perspective " << p;
+    }
+    for (SiteIndex v = 0; v < a.num_sites(); ++v) {
+      for (SiteIndex adv = 0; adv < a.num_sites(); ++adv) {
+        for (PerspectiveIndex p = 0; p < a.num_perspectives(); ++p) {
+          ASSERT_EQ(a.outcome(ai, v, adv, p), b.outcome(ai, v, adv, p))
+              << plane << ": outcome differs at (" << v << "," << adv << ","
+              << p << ")";
+        }
       }
     }
   }
@@ -94,9 +101,7 @@ TEST(CampaignParallel, IncrementalModeIsPureOptimization) {
   // `incremental` swaps a per-pair full propagation for one baseline per
   // announcer plus delta replays; the store must be byte-identical with
   // the flag on or off, for every attack type and any thread count.
-  for (const auto type :
-       {bgp::AttackType::EquallySpecific, bgp::AttackType::ForgedOriginPrepend,
-        bgp::AttackType::SubPrefix}) {
+  for (const auto type : bgp::all_attack_types()) {
     FastCampaignConfig full;
     full.type = type;
     full.incremental = false;
@@ -113,27 +118,53 @@ TEST(CampaignParallel, IncrementalModeIsPureOptimization) {
 TEST(CampaignParallel, IncrementalModeIsPureOptimizationUnderRov) {
   // Same identity with the ROV filter active in both engines: per-victim
   // prefixes, a ROA per victim, and enforcing transit ASes would surface
-  // any divergence in the delta engine's validation path.
-  const auto& tb = shared_testbed();
-  bgp::RoaRegistry roas;
-  FastCampaignConfig proto;
-  proto.per_victim_prefix = true;
-  for (std::size_t v = 0; v < tb.sites().size(); ++v) {
-    roas.add(bgp::Roa{proto.victim_prefix(v),
-                      tb.internet().graph().asn_of(tb.sites()[v].node),
-                      std::nullopt});
-  }
-  for (const auto type : {bgp::AttackType::EquallySpecific,
-                          bgp::AttackType::ForgedOriginPrepend}) {
-    FastCampaignConfig cfg;
-    cfg.type = type;
-    cfg.per_victim_prefix = true;
-    cfg.roas = &roas;
-    cfg.incremental = false;
-    const auto reference = run_with_threads(cfg, 1);
-    cfg.incremental = true;
-    expect_stores_identical(reference, run_with_threads(cfg, 1));
-    expect_stores_identical(reference, run_with_threads(cfg, 4));
+  // any divergence in the delta engine's validation path or in the
+  // sub-prefix plane's reachability closure. Strict ROAs make the
+  // adversary's /25 Invalid (so enforcing ASes drop it); MAX_LEN 25 ROAs
+  // make it Valid. The cloud edge filter is toggled so transit ROV is
+  // observed both alone and behind the edge; rov_fraction 0 keeps the
+  // edge-only case.
+  for (const double rov_fraction : {0.0, 0.5, 1.0}) {
+    // rov_fraction 0 is the shared testbed itself, all 32 sites. The
+    // enforcing testbeds take half the site pool, which keeps their
+    // full-engine references affordable: 240 pairs per campaign.
+    std::optional<Testbed> enforcing;
+    if (rov_fraction > 0.0) {
+      TestbedConfig tb_cfg = testing_support::small_testbed_config();
+      tb_cfg.rov_fraction = rov_fraction;
+      tb_cfg.site_catalog = topo::vultr_sites().first(16);
+      enforcing.emplace(tb_cfg);
+    }
+    const Testbed& tb = enforcing ? *enforcing : shared_testbed();
+    for (const std::optional<std::uint8_t> max_len :
+         {std::optional<std::uint8_t>{}, std::optional<std::uint8_t>{25}}) {
+      bgp::RoaRegistry roas;
+      FastCampaignConfig cfg;
+      const auto all = bgp::all_attack_types();
+      cfg.attacks.assign(all.begin(), all.end());
+      cfg.per_victim_prefix = true;
+      for (std::size_t v = 0; v < tb.sites().size(); ++v) {
+        roas.add(bgp::Roa{cfg.victim_prefix(v),
+                          tb.internet().graph().asn_of(tb.sites()[v].node),
+                          max_len});
+      }
+      cfg.roas = &roas;
+      for (const bool edge_rov : {true, false}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "rov " << rov_fraction << ", "
+                     << (max_len ? "MAX_LEN 25" : "strict") << " ROAs, edge "
+                     << (edge_rov ? "on" : "off"));
+        cfg.cloud_edge_rov = edge_rov;
+        cfg.incremental = false;
+        cfg.threads = 1;
+        const auto reference = run_fast_campaign(tb, cfg);
+        cfg.incremental = true;
+        for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+          cfg.threads = threads;
+          expect_stores_identical(reference, run_fast_campaign(tb, cfg));
+        }
+      }
+    }
   }
 }
 

@@ -77,7 +77,8 @@ TEST(ScopedTimer, StopIsIdempotent) {
     timer.stop();
     timer.stop();  // second stop and the destructor must not re-report
   }
-  const HistogramSnapshot* s = reg.snapshot().histogram("span.ns");
+  const MetricsSnapshot snap = reg.snapshot();
+  const HistogramSnapshot* s = snap.histogram("span.ns");
   ASSERT_NE(s, nullptr);
   EXPECT_EQ(s->count, 1u);
 }

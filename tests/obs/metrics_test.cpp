@@ -55,8 +55,9 @@ TEST(Metrics, NullHandlesDropUpdates) {
 
 TEST(Metrics, SnapshotOfUnknownNameIsZero) {
   MetricsRegistry reg;
-  EXPECT_EQ(reg.snapshot().counter("never.registered"), 0u);
-  EXPECT_EQ(reg.snapshot().histogram("never.registered"), nullptr);
+  const MetricsSnapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.counter("never.registered"), 0u);
+  EXPECT_EQ(snap.histogram("never.registered"), nullptr);
 }
 
 TEST(Metrics, HistogramBucketBoundaries) {

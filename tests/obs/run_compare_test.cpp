@@ -69,6 +69,45 @@ TEST(PhaseAttribution, SumsSpansAndDerivesOther) {
   EXPECT_EQ(phases.other_ns(), 2'000u);
 }
 
+TEST(PhaseAttribution, SplitsSpansPerAttackPlane) {
+  // A single-attack journal has one plane, equal to the whole.
+  const PhaseAttribution single = attribute_phases(provenance_journal());
+  ASSERT_EQ(single.by_attack.size(), 1u);
+  EXPECT_EQ(single.by_attack.at(0).total_ns, single.total_ns);
+  EXPECT_EQ(single.by_attack.at(0).propagate_ns, single.propagate_ns);
+
+  // Two planes across two lanes: each plane sums only its own spans, and
+  // the planes add up to the total.
+  FlightRecorder recorder;
+  FlightBuffer* a = recorder.open_buffer();
+  FlightBuffer* b = recorder.open_buffer();
+  TaskSpanRecord task;
+  task.duration_ns = 10'000;
+  task.propagate_ns = 1'000;
+  task.classify_ns = 7'000;
+  task.record_ns = 1'000;
+  a->record_task(task);  // equally-specific
+  task.attack = 2;       // sub-prefix: the plane that used to flood
+  task.duration_ns = 50'000;
+  task.propagate_ns = 45'000;
+  task.classify_ns = 3'000;
+  a->record_task(task);
+  b->record_task(task);
+  const PhaseAttribution multi = attribute_phases(recorder.drain());
+  ASSERT_EQ(multi.by_attack.size(), 2u);
+  const PhaseSplit& es = multi.by_attack.at(0);
+  const PhaseSplit& sub = multi.by_attack.at(2);
+  EXPECT_EQ(es.total_ns, 10'000u);
+  EXPECT_EQ(es.classify_ns, 7'000u);
+  EXPECT_EQ(es.other_ns(), 1'000u);
+  EXPECT_EQ(sub.total_ns, 100'000u);
+  EXPECT_EQ(sub.propagate_ns, 90'000u);
+  EXPECT_EQ(sub.record_ns, 2'000u);
+  EXPECT_EQ(sub.other_ns(), 2'000u);
+  EXPECT_EQ(es.total_ns + sub.total_ns, multi.total_ns);
+  EXPECT_EQ(es.propagate_ns + sub.propagate_ns, multi.propagate_ns);
+}
+
 /// A campaign_wallclock-shaped document with adjustable timing.
 ReadManifest bench_doc(double t1_seconds, double t2_seconds,
                        std::uint64_t task_ns_scale = 1,

@@ -2,7 +2,8 @@
 //
 //   mpinspect summarize <trace-dir | manifest.json> [--json]
 //       Human-readable summary of one recorded run: decision-provenance
-//       distribution, per-phase wall-clock attribution, histogram
+//       distribution, per-phase wall-clock attribution (split again per
+//       attack plane when the journal holds more than one), histogram
 //       quantiles, config echo. --json emits the same facts as a
 //       machine-readable document on stdout.
 //
@@ -75,6 +76,7 @@
 
 #include "analysis/attack_matrix.hpp"
 #include "analysis/report.hpp"
+#include "bgp/scenario.hpp"
 #include "obs/journal_reader.hpp"
 #include "obs/json.hpp"
 #include "obs/log.hpp"
@@ -151,6 +153,25 @@ std::string format_count(std::uint64_t value) {
 // ---------------------------------------------------------------------------
 // summarize
 
+/// Display name of a journal attack tag (a bgp::AttackType value).
+std::string plane_name(std::uint8_t tag) {
+  if (tag < bgp::kAttackTypeCount) {
+    return bgp::to_cstring(static_cast<bgp::AttackType>(tag));
+  }
+  return "attack-" + std::to_string(tag);
+}
+
+void print_phase_split_json(const obs::PhaseSplit& split) {
+  std::printf(
+      "{\"total\": %llu, \"propagate\": %llu, \"classify\": %llu, "
+      "\"record\": %llu, \"other\": %llu}",
+      static_cast<unsigned long long>(split.total_ns),
+      static_cast<unsigned long long>(split.propagate_ns),
+      static_cast<unsigned long long>(split.classify_ns),
+      static_cast<unsigned long long>(split.record_ns),
+      static_cast<unsigned long long>(split.other_ns()));
+}
+
 void summarize_journal_json(const obs::ReadJournal& read) {
   const obs::ProvenanceSummary prov =
       obs::summarize_provenance(read.journal);
@@ -178,14 +199,22 @@ void summarize_journal_json(const obs::ReadJournal& read) {
     first = false;
   }
   std::printf("}},\n");
-  std::printf(
-      "  \"phases_ns\": {\"total\": %llu, \"propagate\": %llu, "
-      "\"classify\": %llu, \"record\": %llu, \"other\": %llu}\n}\n",
-      static_cast<unsigned long long>(phases.total_ns),
-      static_cast<unsigned long long>(phases.propagate_ns),
-      static_cast<unsigned long long>(phases.classify_ns),
-      static_cast<unsigned long long>(phases.record_ns),
-      static_cast<unsigned long long>(phases.other_ns()));
+  std::printf("  \"phases_ns\": ");
+  print_phase_split_json(phases);
+  // Per-plane split only when there is more than one plane, so
+  // single-attack output keeps its shape.
+  if (phases.by_attack.size() > 1) {
+    std::printf(",\n  \"phases_ns_by_attack\": {");
+    bool first_plane = true;
+    for (const auto& [tag, split] : phases.by_attack) {
+      std::printf("%s\n    \"%s\": ", first_plane ? "" : ",",
+                  obs::json_escape(plane_name(tag)).c_str());
+      print_phase_split_json(split);
+      first_plane = false;
+    }
+    std::printf("\n  }");
+  }
+  std::printf("\n}\n");
 }
 
 void summarize_manifest_json(const obs::ReadManifest& manifest) {
@@ -324,6 +353,20 @@ void summarize_journal(const obs::ReadJournal& read) {
     std::printf("\nWorker time attribution (%s total in task spans):\n%s",
                 format_ms(phases.total_ns).c_str(),
                 table.to_string().c_str());
+  }
+  if (phases.total_ns != 0 && phases.by_attack.size() > 1) {
+    analysis::TextTable table({"Attack plane", "Wall clock", "Share",
+                               "Propagate", "Classify", "Record", "Other"});
+    for (const auto& [tag, split] : phases.by_attack) {
+      table.add_row({plane_name(tag), format_ms(split.total_ns),
+                     format_pct01(static_cast<double>(split.total_ns) /
+                                  static_cast<double>(phases.total_ns)),
+                     format_ms(split.propagate_ns),
+                     format_ms(split.classify_ns), format_ms(split.record_ns),
+                     format_ms(split.other_ns())});
+    }
+    std::printf("\nPer-plane attribution (%zu attack planes):\n%s",
+                phases.by_attack.size(), table.to_string().c_str());
   }
 }
 
