@@ -34,7 +34,12 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (std::strcmp(argv[i], "--ases") == 0 && i + 1 < argc) {
-      config.internet = topo::scaled_internet_config(std::atoi(argv[++i]));
+      try {
+        config.internet = topo::scaled_internet_config(std::atoi(argv[++i]));
+      } catch (const std::invalid_argument& e) {
+        std::cerr << e.what() << std::endl;
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       config.threads = static_cast<std::size_t>(std::atoi(argv[++i]));
     } else if (std::strcmp(argv[i], "--quorum") == 0 && i + 1 < argc) {

@@ -10,28 +10,27 @@
 // and Cloudflare's API without any knowledge of their internals.
 //
 // Usage: blackbox_audit [--verbose]
-//   --verbose turns on the timestamped leveled log on stderr (the
-//   orchestrator logs campaign start/config through MARCOPOLO_LOG).
+//   --verbose is obs::Session's (src/obs/session.hpp): the timestamped
+//   leveled log on stderr, where the orchestrator logs campaign
+//   start/config through MARCOPOLO_LOG.
 #include <cstdio>
-#include <cstring>
+#include <utility>
 
 #include "analysis/resilience.hpp"
 #include "analysis/report.hpp"
 #include "marcopolo/orchestrator.hpp"
-#include "obs/log.hpp"
+#include "obs/session.hpp"
 
 using namespace marcopolo;
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--verbose") == 0) {
-      obs::Logger::global().set_stderr_sink(obs::LogLevel::Debug,
-                                            /*timestamps=*/true);
-    } else {
-      std::fprintf(stderr, "usage: blackbox_audit [--verbose]\n");
-      return 2;
-    }
+  obs::SessionArgs args =
+      obs::parse_session_args(argc, argv, obs::kVerboseFlag);
+  if (!args.error.empty() || !args.rest.empty()) {
+    std::fprintf(stderr, "usage: blackbox_audit [--verbose]\n");
+    return 2;
   }
+  const obs::Session session("blackbox_audit", std::move(args.options));
   core::Testbed testbed{core::TestbedConfig{}};
 
   // A slice of the pair matrix keeps the demo quick; the table3 bench runs
@@ -46,6 +45,7 @@ int main(int argc, char** argv) {
   cfg.prefix_lanes = 4;                   // §4.2.3 prefix partitioning
   cfg.loss = netsim::LossModel{0.01, 0.01};  // exercise step-5 retries
   cfg.max_attempts = 6;
+  cfg.observers = session.observers();
 
   std::printf("Auditing production-style MPIC systems with %zu ethical "
               "hijacks over %zu prefix lanes...\n",

@@ -6,10 +6,7 @@
 // ranked by resilience, including the recommended primary perspective.
 //
 // Usage: optimize_deployment [provider] [count] [--attacks <csv|all>]
-//                            [--metrics-out <file.json>]
-//                            [--trace-out <dir>] [--progress]
-//                            [--profile[=hz]] [--telemetry-out <dir|file>]
-//                            [--serve-metrics <port>] [--tick-ms <n>]
+//                            [observer flags]
 //   provider: aws | gcp | azure   (default azure)
 //   count:    5..8                (default 6)
 //
@@ -19,35 +16,25 @@
 // attack captures it, so the ranked sets are robust to the adversary's
 // choice of attack, not just to equally-specific hijacks.
 //
-// With --metrics-out the campaign and optimizer are instrumented and a
-// RunManifest (config echo, phases, counters, latency histograms) is
-// written at exit. With --trace-out the campaign runs under a flight
-// recorder and a trace bundle (Chrome trace, NDJSON provenance journal,
-// Prometheus metrics) is written into <dir>; --progress prints a live
-// stderr line as campaign tasks retire. --profile samples campaign and
-// exhaustive-search worker CPU (default 997 Hz), adding hot symbols to
-// the manifest and profile.folded to the trace bundle. --telemetry-out /
-// --serve-metrics attach a live obs::TelemetryHub (NDJSON time-series
-// every --tick-ms, /metrics + /healthz + /snapshot.json on
-// 127.0.0.1:<port>); watch with `mpinspect watch`.
+// The observer flags are obs::Session's (src/obs/session.hpp), all but
+// --verbose: one set of observers rides the campaign and the optimizer,
+// and the run ends by writing the RunManifest and the self-checked trace
+// bundle.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "analysis/optimizer.hpp"
 #include "analysis/report.hpp"
 #include "analysis/rir_cluster.hpp"
 #include "bgp/attack_model.hpp"
 #include "marcopolo/fast_campaign.hpp"
-#include "obs/manifest.hpp"
-#include "obs/profiler.hpp"
-#include "obs/symbolize.hpp"
-#include "obs/telemetry_hub.hpp"
+#include "obs/session.hpp"
 #include "obs/timer.hpp"
-#include "obs/trace_export.hpp"
 
 using namespace marcopolo;
 
@@ -64,53 +51,27 @@ topo::CloudProvider parse_provider(const char* text) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string metrics_out;
-  std::string trace_out;
-  bool progress = false;
-  bool profile = false;
-  std::uint32_t profile_hz = obs::kDefaultProfileHz;
-  std::string telemetry_out;
-  int serve_port = -1;
-  int tick_ms = 1000;
+  constexpr unsigned kFlags = obs::kAllSessionFlags & ~obs::kVerboseFlag;
+  obs::SessionArgs args = obs::parse_session_args(argc, argv, kFlags);
   std::vector<bgp::AttackType> attacks;
   std::vector<const char*> positional;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--attacks") == 0 && i + 1 < argc) {
-      try {
-        attacks = bgp::parse_attack_list(argv[++i]);
-      } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--metrics-out") == 0 && i + 1 < argc) {
-      metrics_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
-      trace_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--progress") == 0) {
-      progress = true;
-    } else if (std::strcmp(argv[i], "--profile") == 0) {
-      profile = true;
-    } else if (std::strncmp(argv[i], "--profile=", 10) == 0) {
-      profile = true;
-      const long hz = std::strtol(argv[i] + 10, nullptr, 10);
-      if (hz <= 0) {
-        std::fprintf(stderr, "bad --profile rate: %s\n", argv[i] + 10);
-        return 2;
-      }
-      profile_hz = static_cast<std::uint32_t>(hz);
-    } else if (std::strcmp(argv[i], "--telemetry-out") == 0 && i + 1 < argc) {
-      telemetry_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--serve-metrics") == 0 && i + 1 < argc) {
-      serve_port = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--tick-ms") == 0 && i + 1 < argc) {
-      tick_ms = std::atoi(argv[++i]);
-      if (tick_ms <= 0) {
-        std::fprintf(stderr, "bad --tick-ms: %s\n", argv[i]);
-        return 2;
-      }
-    } else {
-      positional.push_back(argv[i]);
+  for (std::size_t i = 0; i < args.rest.size() && args.error.empty(); ++i) {
+    if (args.rest[i] != "--attacks" || i + 1 == args.rest.size()) {
+      positional.push_back(args.rest[i].c_str());
+      continue;
     }
+    try {
+      attacks = bgp::parse_attack_list(args.rest[++i]);
+    } catch (const std::invalid_argument& e) {
+      args.error = e.what();
+    }
+  }
+  if (!args.error.empty()) {
+    std::fprintf(stderr,
+                 "%s\nusage: optimize_deployment [provider] [count] "
+                 "[--attacks <csv|all>] %s\n",
+                 args.error.c_str(), obs::session_usage(kFlags).c_str());
+    return 2;
   }
   const topo::CloudProvider provider = !positional.empty()
                                            ? parse_provider(positional[0])
@@ -123,46 +84,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "count must be in [2, 12]\n");
     return 2;
   }
-  obs::MetricsRegistry registry;
-  obs::MetricsRegistry* metrics =
-      metrics_out.empty() && trace_out.empty() ? nullptr : &registry;
-  obs::FlightRecorder flight_recorder;
-  obs::FlightRecorder* recorder =
-      trace_out.empty() ? nullptr : &flight_recorder;
-  obs::ProgressReporter reporter(recorder);
-  std::optional<obs::SamplingProfiler> profiler_storage;
-  obs::SamplingProfiler* profiler = nullptr;
-  if (profile) {
-    profiler_storage.emplace(profile_hz);
-    profiler = &*profiler_storage;
-    if (!profiler->available()) {
-      std::fprintf(stderr, "profiler unavailable: %s\n",
-                   profiler->unavailable_reason().c_str());
-    }
-  }
-  std::optional<obs::TelemetryHub> hub_storage;
-  obs::TelemetryHub* hub = nullptr;
-  if (!telemetry_out.empty() || serve_port >= 0) {
-    obs::TelemetryConfig tcfg;
-    tcfg.tick_ms = tick_ms;
-    tcfg.timeseries_path = telemetry_out;
-    tcfg.serve_port = serve_port;
-    tcfg.metrics = metrics;
-    tcfg.recorder = recorder;
-    hub_storage.emplace(tcfg);
-    hub = &*hub_storage;
-    hub->start();
-    if (serve_port >= 0) {
-      if (hub->serving()) {
-        std::fprintf(stderr, "telemetry: serving http://127.0.0.1:%d\n",
-                     hub->port());
-      } else {
-        std::fprintf(stderr, "telemetry: endpoint unavailable (%s)\n",
-                     hub->serve_reason().c_str());
-      }
-    }
-  }
-  obs::RunManifest manifest("optimize_deployment");
+  obs::Session session("optimize_deployment", std::move(args.options));
+  obs::RunManifest& manifest = session.manifest();
 
   obs::PhaseClock phase;
   core::Testbed testbed{core::TestbedConfig{}};
@@ -171,15 +94,7 @@ int main(int argc, char** argv) {
               testbed.sites().size() * (testbed.sites().size() - 1));
   phase.restart();
   core::FastCampaignConfig campaign_cfg;
-  campaign_cfg.metrics = metrics;
-  campaign_cfg.recorder = recorder;
-  campaign_cfg.profiler = profiler;
-  campaign_cfg.telemetry = hub;
-  if (progress) {
-    campaign_cfg.progress = [&reporter](std::size_t done, std::size_t total) {
-      reporter.update(done, total);
-    };
-  }
+  campaign_cfg.observers = session.observers();
   campaign_cfg.attacks = attacks;
   auto store = core::run_fast_campaign(testbed, campaign_cfg);
   manifest.add_phase("fast_campaign", phase.seconds());
@@ -226,8 +141,7 @@ int main(int argc, char** argv) {
   cfg.strategy = count <= 6 ? analysis::SearchStrategy::Exhaustive
                             : analysis::SearchStrategy::Beam;
   cfg.name_prefix = std::string(topo::to_string_view(provider));
-  cfg.metrics = metrics;
-  cfg.profiler = profiler;
+  cfg.observers = session.observers();
 
   phase.restart();
   const auto ranked = optimizer.optimize(cfg);
@@ -264,52 +178,12 @@ int main(int argc, char** argv) {
               analysis::format_share(stats.top_share).c_str(),
               policy.max_failures + 1);
 
-  obs::CpuProfile cpu_profile;
-  if (profiler != nullptr) {
-    cpu_profile = obs::symbolize_profile(profiler->drain());
-    if (cpu_profile.available && cpu_profile.samples > 0) {
-      manifest.set_profile(cpu_profile);
-      std::printf("\nCPU profile: %llu samples @ %u Hz, hottest: %s\n",
-                  static_cast<unsigned long long>(cpu_profile.samples),
-                  profiler->hz(),
-                  cpu_profile.symbols.empty()
-                      ? "(none)"
-                      : cpu_profile.symbols.front().name.c_str());
-    }
-  }
-
-  // Stop telemetry before artifacts are written so the final tick is on
-  // disk and agrees with the manifest counters.
-  if (hub != nullptr) hub->stop();
-
-  if (!metrics_out.empty()) {
-    manifest.set("provider", std::string(topo::to_string_view(provider)));
-    manifest.set("set_size", count);
-    manifest.set("max_failures", policy.max_failures);
-    manifest.set("strategy",
-                 cfg.strategy == analysis::SearchStrategy::Exhaustive
-                     ? "exhaustive"
-                     : "beam");
-    if (!manifest.write_file(metrics_out, registry.snapshot())) {
-      std::fprintf(stderr, "failed to write %s\n", metrics_out.c_str());
-      return 1;
-    }
-    std::printf("\nRun manifest written to %s\n", metrics_out.c_str());
-  }
-  if (recorder != nullptr) {
-    const obs::FlightJournal journal = recorder->drain();
-    const obs::MetricsSnapshot snap = registry.snapshot();
-    const bool with_profile =
-        cpu_profile.available && cpu_profile.samples > 0;
-    if (!obs::write_trace_dir(trace_out, journal, &snap,
-                              with_profile ? &cpu_profile : nullptr)) {
-      std::fprintf(stderr, "failed to write trace bundle to %s\n",
-                   trace_out.c_str());
-      return 1;
-    }
-    std::printf("\nTrace bundle written to %s (%zu task spans, %zu verdicts)\n",
-                trace_out.c_str(), journal.task_count(),
-                journal.verdict_count());
-  }
-  return 0;
+  manifest.set("provider", std::string(topo::to_string_view(provider)));
+  manifest.set("set_size", count);
+  manifest.set("max_failures", policy.max_failures);
+  manifest.set("strategy",
+               cfg.strategy == analysis::SearchStrategy::Exhaustive
+                   ? "exhaustive"
+                   : "beam");
+  return session.finish();
 }

@@ -15,36 +15,17 @@
 // the paper campaigns: one campaign, one result plane per attack type,
 // every plane sharing each victim's propagation baseline.
 //
-// With `--metrics-out run.json` every subsystem is instrumented through
-// obs::MetricsRegistry and the run ends by writing a RunManifest: config
-// echo, wall-clock phases, campaign/propagation/orchestrator/optimizer
-// counters, and per-phase latency histograms.
-//
-// With `--trace-out <dir>` the campaigns additionally run under a flight
-// recorder and the run ends by writing a trace bundle into <dir>:
-// trace.json (Chrome trace_event, loadable at ui.perfetto.dev),
-// journal.ndjson (per-verdict decision provenance), and metrics.prom
-// (Prometheus text format). `--progress` prints a live stderr line as
-// campaign tasks retire; `--verbose` turns on the timestamped leveled
-// log. `--profile[=hz]` samples campaign and optimizer worker CPU with
-// the in-process profiler (default 997 Hz): hot symbols land in the
-// manifest, profile.folded joins the trace bundle, and sample events
-// merge into trace.json.
-//
-// `--telemetry-out <dir|file>` / `--serve-metrics <port>` attach a live
-// obs::TelemetryHub for the whole run: a sampler tick (default 1s, set
-// with `--tick-ms`) appends timeseries.ndjson (pass the --trace-out dir
-// to get one self-checking bundle) and serves /metrics, /healthz, and
-// /snapshot.json on 127.0.0.1:<port> — watch with `mpinspect watch
-// http://127.0.0.1:<port>`. A taken port degrades to "unavailable
-// (reason)"; results are byte-identical either way.
+// The observer flags (--metrics-out, --trace-out, --progress, --verbose,
+// --profile[=hz], --telemetry-out, --serve-metrics, --tick-ms) are parsed
+// and wired by obs::Session (src/obs/session.hpp): one set of observers
+// rides the paper campaigns, the sweep, the orchestrated slice and the
+// optimizer, and the run ends by writing the RunManifest and the
+// self-checked trace bundle. Results are byte-identical with any of them
+// on, off, or degraded.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <functional>
-#include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/optimizer.hpp"
@@ -53,129 +34,35 @@
 #include "marcopolo/fast_campaign.hpp"
 #include "marcopolo/orchestrator.hpp"
 #include "marcopolo/production_systems.hpp"
-#include "obs/log.hpp"
-#include "obs/manifest.hpp"
-#include "obs/profiler.hpp"
-#include "obs/run_compare.hpp"
-#include "obs/symbolize.hpp"
-#include "obs/telemetry_hub.hpp"
+#include "obs/session.hpp"
 #include "obs/timer.hpp"
-#include "obs/trace_export.hpp"
 
 using namespace marcopolo;
 
 int main(int argc, char** argv) {
-  std::string metrics_out;
-  std::string trace_out;
-  bool progress = false;
-  bool verbose = false;
-  bool profile = false;
-  std::uint32_t profile_hz = obs::kDefaultProfileHz;
-  std::string telemetry_out;
-  int serve_port = -1;
-  int tick_ms = 1000;
+  obs::SessionArgs args =
+      obs::parse_session_args(argc, argv, obs::kAllSessionFlags);
   std::vector<bgp::AttackType> extra_attacks;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--attacks") == 0 && i + 1 < argc) {
-      try {
-        extra_attacks = bgp::parse_attack_list(argv[++i]);
-      } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--metrics-out") == 0 && i + 1 < argc) {
-      metrics_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
-      trace_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--progress") == 0) {
-      progress = true;
-    } else if (std::strcmp(argv[i], "--verbose") == 0) {
-      verbose = true;
-    } else if (std::strcmp(argv[i], "--profile") == 0) {
-      profile = true;
-    } else if (std::strncmp(argv[i], "--profile=", 10) == 0) {
-      profile = true;
-      const long hz = std::strtol(argv[i] + 10, nullptr, 10);
-      if (hz <= 0) {
-        std::fprintf(stderr, "bad --profile rate: %s\n", argv[i] + 10);
-        return 2;
-      }
-      profile_hz = static_cast<std::uint32_t>(hz);
-    } else if (std::strcmp(argv[i], "--telemetry-out") == 0 && i + 1 < argc) {
-      telemetry_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--serve-metrics") == 0 && i + 1 < argc) {
-      serve_port = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--tick-ms") == 0 && i + 1 < argc) {
-      tick_ms = std::atoi(argv[++i]);
-      if (tick_ms <= 0) {
-        std::fprintf(stderr, "bad --tick-ms: %s\n", argv[i]);
-        return 2;
-      }
-    } else {
-      std::fprintf(stderr,
-                   "usage: quickstart [--attacks <csv|all>] "
-                   "[--metrics-out <file.json>] "
-                   "[--trace-out <dir>] [--progress] [--verbose] "
-                   "[--profile[=hz]] [--telemetry-out <dir|file>] "
-                   "[--serve-metrics <port>] [--tick-ms <n>]\n");
-      return 2;
+  for (std::size_t i = 0; i < args.rest.size() && args.error.empty(); ++i) {
+    if (args.rest[i] != "--attacks" || i + 1 == args.rest.size()) {
+      args.error = "unexpected argument " + args.rest[i];
+      break;
+    }
+    try {
+      extra_attacks = bgp::parse_attack_list(args.rest[++i]);
+    } catch (const std::invalid_argument& e) {
+      args.error = e.what();
     }
   }
-  if (verbose) {
-    obs::Logger::global().set_stderr_sink(obs::LogLevel::Debug,
-                                          /*timestamps=*/true);
+  if (!args.error.empty()) {
+    std::fprintf(stderr, "%s\nusage: quickstart [--attacks <csv|all>] %s\n",
+                 args.error.c_str(),
+                 obs::session_usage(obs::kAllSessionFlags).c_str());
+    return 2;
   }
-  obs::MetricsRegistry registry;
-  // The trace bundle embeds a metrics.prom, so tracing implies metrics.
-  obs::MetricsRegistry* metrics =
-      metrics_out.empty() && trace_out.empty() ? nullptr : &registry;
-  obs::FlightRecorder flight_recorder;
-  obs::FlightRecorder* recorder =
-      trace_out.empty() ? nullptr : &flight_recorder;
-  obs::ProgressReporter reporter(recorder);
-  std::function<void(std::size_t, std::size_t)> progress_hook;
-  if (progress) {
-    progress_hook = [&reporter](std::size_t done, std::size_t total) {
-      reporter.update(done, total);
-    };
-  }
-  std::optional<obs::SamplingProfiler> profiler_storage;
-  obs::SamplingProfiler* profiler = nullptr;
-  if (profile) {
-    profiler_storage.emplace(profile_hz);
-    profiler = &*profiler_storage;
-    if (!profiler->available()) {
-      // Degraded, not fatal: the run proceeds unprofiled and produces
-      // byte-identical results (the pure-observer contract).
-      std::fprintf(stderr, "profiler unavailable: %s\n",
-                   profiler->unavailable_reason().c_str());
-    }
-  }
-  std::optional<obs::TelemetryHub> hub_storage;
-  obs::TelemetryHub* hub = nullptr;
-  if (!telemetry_out.empty() || serve_port >= 0) {
-    obs::TelemetryConfig tcfg;
-    tcfg.tick_ms = tick_ms;
-    tcfg.timeseries_path = telemetry_out;
-    tcfg.serve_port = serve_port;
-    tcfg.metrics = metrics;
-    tcfg.recorder = recorder;
-    hub_storage.emplace(tcfg);
-    hub = &*hub_storage;
-    hub->start();
-    if (serve_port >= 0) {
-      if (hub->serving()) {
-        std::fprintf(stderr, "telemetry: serving http://127.0.0.1:%d\n",
-                     hub->port());
-      } else {
-        // Degraded, not fatal: the run proceeds unserved and produces
-        // byte-identical results (the pure-observer contract).
-        std::fprintf(stderr, "telemetry: endpoint unavailable (%s)\n",
-                     hub->serve_reason().c_str());
-      }
-    }
-  }
-  obs::RunManifest manifest("quickstart");
+  obs::Session session("quickstart", std::move(args.options));
+  const obs::Observers& observers = session.observers();
+  obs::RunManifest& manifest = session.manifest();
 
   // 1. Testbed.
   obs::PhaseClock phase;
@@ -190,8 +77,7 @@ int main(int argc, char** argv) {
   //    hijacks, hashed route-age tie break.
   phase.restart();
   const auto dataset = core::run_paper_campaigns(
-      testbed, bgp::TieBreakMode::Hashed, 0xCAFE, /*threads=*/0, metrics,
-      recorder, progress_hook, /*hw_counters=*/false, profiler, hub);
+      testbed, bgp::TieBreakMode::Hashed, 0xCAFE, /*threads=*/0, observers);
   manifest.add_phase("fast_campaign", phase.seconds());
   std::printf("Campaign: %zu attacks recorded (plus RPKI variant)\n",
               testbed.sites().size() * (testbed.sites().size() - 1));
@@ -204,11 +90,7 @@ int main(int argc, char** argv) {
     sweep.attacks = extra_attacks;
     sweep.tie_break = bgp::TieBreakMode::Hashed;
     sweep.tie_break_seed = 0xCAFE;
-    sweep.metrics = metrics;
-    sweep.recorder = recorder;
-    sweep.profiler = profiler;
-    sweep.telemetry = hub;
-    sweep.progress = progress_hook;
+    sweep.observers = observers;
     const auto sweep_store = core::run_fast_campaign(testbed, sweep);
     manifest.add_phase("multi_attack_sweep", phase.seconds());
     analysis::TextTable sweep_table({"Attack", "Hijacked verdicts"});
@@ -241,22 +123,16 @@ int main(int argc, char** argv) {
   }
   orch_cfg.prefix_lanes = 2;
   orch_cfg.loss = netsim::LossModel{0.01, 0.01};
-  orch_cfg.metrics = metrics;
-  orch_cfg.recorder = recorder;
-  orch_cfg.telemetry = hub;
+  orch_cfg.observers = observers;
   core::Orchestrator orchestrator(testbed, orch_cfg);
   const auto orch_out = orchestrator.run();
   manifest.add_phase("orchestrated_slice", phase.seconds());
-  if (metrics != nullptr) {
-    const auto snap = registry.snapshot();
-    std::printf("\nOrchestrated slice (%zu pairs):\n%s",
-                orch_cfg.pairs.size(),
-                analysis::format_campaign_stats(orch_out.stats, &snap).c_str());
-  } else {
-    std::printf("\nOrchestrated slice (%zu pairs):\n%s",
-                orch_cfg.pairs.size(),
-                analysis::format_campaign_stats(orch_out.stats).c_str());
-  }
+  // Without a registry the snapshot is empty: the plain stats table.
+  const obs::MetricsSnapshot snap = observers.metrics != nullptr
+                                        ? observers.metrics->snapshot()
+                                        : obs::MetricsSnapshot{};
+  std::printf("\nOrchestrated slice (%zu pairs):\n%s", orch_cfg.pairs.size(),
+              analysis::format_campaign_stats(orch_out.stats, &snap).c_str());
 
   // 3a. Single-perspective (no MPIC) baseline per provider.
   phase.restart();
@@ -273,8 +149,7 @@ int main(int argc, char** argv) {
     single.max_failures = 0;
     single.candidates = testbed.perspectives_of(provider);
     single.name_prefix = std::string(topo::to_string_view(provider));
-    single.metrics = metrics;
-    single.profiler = profiler;
+    single.observers = observers;
     const auto best1 = optimizer.best(single);
     const auto s1 = plain.evaluate(best1.spec);
     table.add_row({std::string(topo::to_string_view(provider)), "(1, N)",
@@ -295,8 +170,7 @@ int main(int argc, char** argv) {
     cfg.strategy = analysis::SearchStrategy::Beam;
     cfg.beam_width = 48;
     cfg.name_prefix = std::string(topo::to_string_view(provider));
-    cfg.metrics = metrics;
-    cfg.profiler = profiler;
+    cfg.observers = observers;
     const auto best = optimizer.best(cfg);
     const auto s = plain.evaluate(best.spec);
     table.add_row({std::string(topo::to_string_view(provider)), "(6, N-2)",
@@ -319,71 +193,11 @@ int main(int argc, char** argv) {
   std::printf("\nResilience without RPKI (fraction of adversaries defeated):\n%s",
               table.to_string().c_str());
 
-  obs::CpuProfile cpu_profile;
-  if (profiler != nullptr) {
-    cpu_profile = obs::symbolize_profile(profiler->drain());
-    if (cpu_profile.available && cpu_profile.samples > 0) {
-      manifest.set_profile(cpu_profile);
-      std::printf("\nCPU profile: %llu samples @ %u Hz (%llu dropped, "
-                  "%llu truncated), hottest: %s\n",
-                  static_cast<unsigned long long>(cpu_profile.samples),
-                  profiler->hz(),
-                  static_cast<unsigned long long>(cpu_profile.dropped),
-                  static_cast<unsigned long long>(cpu_profile.truncated),
-                  cpu_profile.symbols.empty()
-                      ? "(none)"
-                      : cpu_profile.symbols.front().name.c_str());
-    }
-  }
-
-  // Stop telemetry before any artifact is written: the final tick must be
-  // on disk (and agree with the manifest counters) before the trace-bundle
-  // self-check reads timeseries.ndjson back.
-  if (hub != nullptr) hub->stop();
-
-  if (!metrics_out.empty()) {
-    manifest.set("tie_break", "hashed");
-    manifest.set("tie_break_seed", std::uint64_t{0xCAFE});
-    manifest.set("sites", testbed.sites().size());
-    manifest.set("perspectives", testbed.perspectives().size());
-    manifest.set("ases", testbed.internet().graph().size());
-    manifest.set("orchestrated_pairs", orch_cfg.pairs.size());
-    if (!manifest.write_file(metrics_out, registry.snapshot())) {
-      std::fprintf(stderr, "failed to write %s\n", metrics_out.c_str());
-      return 1;
-    }
-    std::printf("\nRun manifest written to %s\n", metrics_out.c_str());
-  }
-  if (recorder != nullptr) {
-    const obs::FlightJournal journal = recorder->drain();
-    const obs::MetricsSnapshot snap = registry.snapshot();
-    const bool with_profile =
-        cpu_profile.available && cpu_profile.samples > 0;
-    if (!obs::write_trace_dir(trace_out, journal, &snap,
-                              with_profile ? &cpu_profile : nullptr)) {
-      std::fprintf(stderr, "failed to write trace bundle to %s\n",
-                   trace_out.c_str());
-      return 1;
-    }
-    std::printf(
-        "\nTrace bundle written to %s (trace.json, journal.ndjson, "
-        "metrics.prom%s): %zu task spans, %zu verdicts (%zu "
-        "adversary-routed)\n",
-        trace_out.c_str(), with_profile ? ", profile.folded" : "",
-        journal.task_count(), journal.verdict_count(),
-        journal.adversary_verdict_count());
-    // Self-check: a bundle this process cannot read back (or whose
-    // journal disagrees with the manifest counters) is a bug, not a
-    // warning.
-    const obs::BundleCheckResult check =
-        obs::check_trace_bundle(trace_out, metrics_out);
-    if (!check.ok) {
-      for (const std::string& problem : check.problems) {
-        std::fprintf(stderr, "trace bundle self-check: %s\n",
-                     problem.c_str());
-      }
-      return 1;
-    }
-  }
-  return 0;
+  manifest.set("tie_break", "hashed");
+  manifest.set("tie_break_seed", std::uint64_t{0xCAFE});
+  manifest.set("sites", testbed.sites().size());
+  manifest.set("perspectives", testbed.perspectives().size());
+  manifest.set("ases", testbed.internet().graph().size());
+  manifest.set("orchestrated_pairs", orch_cfg.pairs.size());
+  return session.finish();
 }

@@ -133,12 +133,12 @@ std::vector<RankedDeployment> DeploymentOptimizer::search_exhaustive(
   std::atomic<std::size_t> next_first{0};
 
   const bool hw_counters =
-      cfg.hw_counters && obs::PerfCounterGroup::probe();
+      cfg.observers.hw_counters && obs::PerfCounterGroup::probe();
 
   auto worker = [&](std::size_t t) {
     // Attach this worker thread to the sampling profiler (no-op when
     // null/unavailable) so search CPU attributes to the scoring kernels.
-    obs::ProfiledThread profiled(cfg.profiler);
+    obs::ProfiledThread profiled(cfg.observers.profiler);
     // Per-thread perf group bracketing the whole work loop: two reads
     // per worker, zero cost inside the DFS itself.
     std::unique_ptr<obs::PerfCounterGroup> perf;
@@ -248,23 +248,23 @@ std::vector<RankedDeployment> DeploymentOptimizer::search_exhaustive(
     cfg.stats->subtrees_pruned += totals.subtrees_pruned;
     cfg.stats->counters += totals.counters;
   }
-  if (cfg.metrics != nullptr) {
-    cfg.metrics->counter("optimizer.exhaustive_searches").add(1);
-    cfg.metrics->counter("optimizer.complete_sets_scored")
+  if (obs::MetricsRegistry* metrics = cfg.observers.metrics) {
+    metrics->counter("optimizer.exhaustive_searches").add(1);
+    metrics->counter("optimizer.complete_sets_scored")
         .add(totals.complete_sets_scored);
-    cfg.metrics->counter("optimizer.subtrees_pruned")
+    metrics->counter("optimizer.subtrees_pruned")
         .add(totals.subtrees_pruned);
     if (totals.counters.valid) {
       // Interned only when a group actually counted, so uninstrumented
       // and counter-less runs keep a byte-identical metrics section.
-      cfg.metrics->counter("optimizer.instructions")
+      metrics->counter("optimizer.instructions")
           .add(totals.counters.instructions);
-      cfg.metrics->counter("optimizer.cycles").add(totals.counters.cycles);
-      cfg.metrics->counter("optimizer.cache_references")
+      metrics->counter("optimizer.cycles").add(totals.counters.cycles);
+      metrics->counter("optimizer.cache_references")
           .add(totals.counters.cache_references);
-      cfg.metrics->counter("optimizer.cache_misses")
+      metrics->counter("optimizer.cache_misses")
           .add(totals.counters.cache_misses);
-      cfg.metrics->counter("optimizer.branch_misses")
+      metrics->counter("optimizer.branch_misses")
           .add(totals.counters.branch_misses);
     }
   }
@@ -389,9 +389,9 @@ std::vector<RankedDeployment> DeploymentOptimizer::search_beam(
         make_spec(cfg, final.set, std::nullopt, rank++), final.score});
     if (out.size() >= cfg.top_k) break;
   }
-  if (cfg.metrics != nullptr) {
-    cfg.metrics->counter("optimizer.beam_searches").add(1);
-    cfg.metrics->counter("optimizer.beam_states_scored").add(states_scored);
+  if (obs::MetricsRegistry* metrics = cfg.observers.metrics) {
+    metrics->counter("optimizer.beam_searches").add(1);
+    metrics->counter("optimizer.beam_states_scored").add(states_scored);
   }
   return out;
 }
@@ -434,9 +434,9 @@ void DeploymentOptimizer::climb(std::vector<PerspectiveIndex>& set,
       if (!improved) analyzer_.add_perspective(ws, out_p);
     }
   }
-  if (cfg.metrics != nullptr) {
-    cfg.metrics->counter("optimizer.climb_swaps_tried").add(swaps_tried);
-    cfg.metrics->counter("optimizer.climb_swaps_kept").add(swaps_kept);
+  if (obs::MetricsRegistry* metrics = cfg.observers.metrics) {
+    metrics->counter("optimizer.climb_swaps_tried").add(swaps_tried);
+    metrics->counter("optimizer.climb_swaps_kept").add(swaps_kept);
   }
 }
 

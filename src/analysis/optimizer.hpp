@@ -25,9 +25,8 @@
 #include <vector>
 
 #include "analysis/resilience.hpp"
-#include "obs/metrics.hpp"
+#include "obs/observers.hpp"
 #include "obs/perf_counters.hpp"
-#include "obs/profiler.hpp"
 #include "topo/rir.hpp"
 
 namespace marcopolo::analysis {
@@ -45,15 +44,16 @@ enum class SearchStrategy : std::uint8_t { Exhaustive, Beam };
 /// a partial set already scores below the worst retained deployment.
 ///
 /// This struct is a thin per-call view kept for API compatibility; the
-/// same totals accumulate on OptimizerConfig::metrics (when attached) as
-/// "optimizer.complete_sets_scored" / "optimizer.subtrees_pruned".
+/// same totals accumulate on the registry in OptimizerConfig::observers
+/// (when attached) as "optimizer.complete_sets_scored" /
+/// "optimizer.subtrees_pruned".
 struct SearchStats {
   std::size_t complete_sets_scored = 0;
   std::size_t subtrees_pruned = 0;
   /// Hardware counters over the exhaustive workers' DFS loops, summed
   /// across threads (each worker reads its own per-thread perf group).
-  /// Invalid unless OptimizerConfig::hw_counters was on and the host
-  /// allowed perf_event_open.
+  /// Invalid unless OptimizerConfig::observers.hw_counters was on and the
+  /// host allowed perf_event_open.
   obs::CounterSample counters;
 };
 
@@ -93,23 +93,11 @@ struct OptimizerConfig {
   /// If non-null, the exhaustive search accumulates instrumentation here
   /// (summed across worker threads after the join).
   SearchStats* stats = nullptr;
-  /// Optional metrics sink: search totals land under "optimizer.*"
-  /// (sets scored, subtrees pruned, beam states, hill-climb swaps).
-  /// Search workers accumulate locally and flush after the join, so the
-  /// DFS hot path is untouched. Null = uninstrumented.
-  obs::MetricsRegistry* metrics = nullptr;
-  /// Attribute hardware counters to the exhaustive search: each worker
-  /// opens a per-thread obs::PerfCounterGroup and brackets its whole DFS
-  /// loop (two reads per worker — the hot path itself is untouched).
-  /// Totals land in SearchStats::counters and, when `metrics` is
-  /// attached, under "optimizer.instructions" etc. Degrades to off on
-  /// hosts without perf_event_open, leaving output byte-identical.
-  bool hw_counters = false;
-  /// Optional sampling CPU profiler: exhaustive-search workers attach
-  /// their threads for the DFS loop, attributing search CPU to the
-  /// scoring kernels by function. Pure observer like `hw_counters`; null
-  /// or unavailable changes nothing.
-  obs::SamplingProfiler* profiler = nullptr;
+  /// Optional observers (obs/observers.hpp). Search totals go under
+  /// "optimizer.*"; exhaustive-search workers open a perf group and attach
+  /// the profiler for their DFS loop (counter totals also land in
+  /// SearchStats::counters).
+  obs::Observers observers;
 };
 
 /// Not thread-safe: the optimizer owns reusable scoring scratch (a count

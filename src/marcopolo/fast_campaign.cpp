@@ -12,6 +12,9 @@ namespace marcopolo::core {
 
 namespace {
 
+/// Completions a worker retires between progress-hook calls.
+constexpr std::size_t kProgressEvery = 64;
+
 /// Campaign-level metric handles, interned once per run (outside the
 /// workers). All-null when the config carries no registry, which makes
 /// every update below a single predictable branch.
@@ -131,7 +134,7 @@ class CampaignWorker {
     // constructor runs on the worker thread (drain()). Probe first: on a
     // denied host no fds are opened and the worker behaves exactly as
     // with counters off.
-    if (config.hw_counters && obs::PerfCounterGroup::probe()) {
+    if (config.observers.hw_counters && obs::PerfCounterGroup::probe()) {
       perf_ = std::make_unique<obs::PerfCounterGroup>();
       if (!perf_->available()) perf_.reset();
     }
@@ -423,7 +426,8 @@ ResultStore run_fast_campaign(const Testbed& testbed,
   }
 
   const CampaignMetrics metrics =
-      CampaignMetrics::create(config.metrics, config.hw_counters);
+      CampaignMetrics::create(config.observers.metrics,
+                              config.observers.hw_counters);
 
   // One task per announcer; the worker iterates every adversary inside it
   // (baseline reuse). Accounting stays per (announcer, adversary) attack:
@@ -458,7 +462,7 @@ ResultStore run_fast_campaign(const Testbed& testbed,
                       << obs::field("incremental", config.incremental)
                       << obs::field("threads", n_threads)
                       << obs::field("recording",
-                                    config.recorder != nullptr);
+                                    config.observers.recorder != nullptr);
 
   // Workers pull tasks from a shared counter; any task order yields the
   // same store because every cell is written exactly once with a value
@@ -467,11 +471,11 @@ ResultStore run_fast_campaign(const Testbed& testbed,
   // the thread count nor the registry being attached can perturb bytes.
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> completed{0};
-  const std::size_t progress_every =
-      config.progress ? std::max<std::size_t>(1, config.progress_every) : 0;
+  const obs::Observers& observers = config.observers;
+  const std::size_t progress_every = observers.progress ? kProgressEvery : 0;
   // The telemetry hub counts the same unit as progress: attacks.
-  if (config.telemetry != nullptr) {
-    config.telemetry->add_planned_tasks(total_attacks);
+  if (observers.telemetry != nullptr) {
+    observers.telemetry->add_planned_tasks(total_attacks);
   }
   auto drain = [&] {
     // Lane opened on the worker thread itself so wall-clock records group
@@ -479,14 +483,16 @@ ResultStore run_fast_campaign(const Testbed& testbed,
     // the join. The profiler guard likewise attaches *this* thread's
     // CPU-time timer for the task loop's duration (no-op when null or
     // unavailable).
-    obs::ProfiledThread profiled(config.profiler);
-    obs::FlightBuffer* flight =
-        config.recorder != nullptr ? config.recorder->open_buffer() : nullptr;
+    obs::ProfiledThread profiled(observers.profiler);
+    obs::FlightBuffer* flight = observers.recorder != nullptr
+                                    ? observers.recorder->open_buffer()
+                                    : nullptr;
     CampaignWorker worker(testbed, config, attacks, edge_roas, store, metrics,
-                          config.recorder, flight);
-    obs::TelemetryWorkerSlot* slot = config.telemetry != nullptr
-                                         ? config.telemetry->open_worker_slot()
-                                         : nullptr;
+                          observers.recorder, flight);
+    obs::TelemetryWorkerSlot* slot =
+        observers.telemetry != nullptr
+            ? observers.telemetry->open_worker_slot()
+            : nullptr;
     std::size_t done_local = 0;
     while (true) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
@@ -496,9 +502,9 @@ ResultStore run_fast_campaign(const Testbed& testbed,
       // them at once.
       const std::size_t retired = worker.run(tasks[i]);
       done_local += retired;
-      if (slot != nullptr) config.telemetry->note_task_done(slot, retired);
+      if (slot != nullptr) observers.telemetry->note_task_done(slot, retired);
       if (progress_every != 0 && done_local >= progress_every) {
-        config.progress(
+        observers.progress(
             completed.fetch_add(done_local, std::memory_order_relaxed) +
                 done_local,
             total_attacks);
@@ -509,10 +515,10 @@ ResultStore run_fast_campaign(const Testbed& testbed,
       const std::size_t done =
           completed.fetch_add(done_local, std::memory_order_relaxed) +
           done_local;
-      if (done == total_attacks) config.progress(done, total_attacks);
+      if (done == total_attacks) observers.progress(done, total_attacks);
     }
     worker.flush_counters();
-    if (slot != nullptr) config.telemetry->close_worker_slot(slot);
+    if (slot != nullptr) observers.telemetry->close_worker_slot(slot);
   };
 
   if (n_threads == 1) {
@@ -526,24 +532,17 @@ ResultStore run_fast_campaign(const Testbed& testbed,
   return store;
 }
 
-CampaignDataset run_paper_campaigns(
-    const Testbed& testbed, bgp::TieBreakMode tie_break,
-    std::uint64_t tie_break_seed, std::size_t threads,
-    obs::MetricsRegistry* metrics, obs::FlightRecorder* recorder,
-    const std::function<void(std::size_t, std::size_t)>& progress,
-    bool hw_counters, obs::SamplingProfiler* profiler,
-    obs::TelemetryHub* telemetry) {
+CampaignDataset run_paper_campaigns(const Testbed& testbed,
+                                    bgp::TieBreakMode tie_break,
+                                    std::uint64_t tie_break_seed,
+                                    std::size_t threads,
+                                    const obs::Observers& observers) {
   FastCampaignConfig plain;
   plain.type = bgp::AttackType::EquallySpecific;
   plain.tie_break = tie_break;
   plain.tie_break_seed = tie_break_seed;
   plain.threads = threads;
-  plain.metrics = metrics;
-  plain.recorder = recorder;
-  plain.progress = progress;
-  plain.hw_counters = hw_counters;
-  plain.profiler = profiler;
-  plain.telemetry = telemetry;
+  plain.observers = observers;
 
   FastCampaignConfig forged = plain;
   forged.type = bgp::AttackType::ForgedOriginPrepend;

@@ -8,15 +8,10 @@
 // orchestrator.
 #pragma once
 
-#include <functional>
-
 #include "bgp/scenario.hpp"
 #include "marcopolo/result_store.hpp"
 #include "marcopolo/testbed.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
-#include "obs/telemetry_hub.hpp"
+#include "obs/observers.hpp"
 
 namespace marcopolo::core {
 
@@ -79,53 +74,9 @@ struct FastCampaignConfig {
   /// A pure optimization — the store is byte-identical with this on or
   /// off (asserted by tests); off forces a full propagation per pair.
   bool incremental = true;
-  /// Optional metrics sink: task counts, DNS-dedup collapses, per-task
-  /// latency, plus the propagation engine's counters. Per-thread shards
-  /// keep the workers synchronization-free, and metrics never influence
-  /// results — the store stays byte-identical with metrics on or off
-  /// (asserted by tests). Null = uninstrumented.
-  obs::MetricsRegistry* metrics = nullptr;
-  /// Optional flight recorder: every worker opens its own lane and emits
-  /// one task span per task, one propagation record per engine run, and
-  /// one decision-provenance verdict per (victim, adversary, perspective)
-  /// row. Same contract as `metrics`: recording is a pure observer — the
-  /// store stays byte-identical with the recorder on or off (asserted by
-  /// tests) — and a null recorder means no clock reads at all.
-  obs::FlightRecorder* recorder = nullptr;
-  /// Optional progress hook, called as tasks retire with
-  /// (tasks_completed, tasks_total). Invoked from worker threads (every
-  /// `progress_every` completions, and once at the end by the last
-  /// worker), so it must be thread-safe; it must not touch the store.
-  std::function<void(std::size_t, std::size_t)> progress;
-  std::size_t progress_every = 64;
-  /// Open a per-worker perf_event group (obs::PerfCounterGroup) and
-  /// attribute instructions/cycles to the campaign and its phases:
-  /// campaign.{instructions,cycles,cache_references,cache_misses,
-  /// branch_misses} counters, campaign.phase.*_instructions, and
-  /// instructions/cycles args on recorded task spans. Opt-in (default
-  /// off: zero syscalls on the hot path, so the timed bench sweep is
-  /// unaffected) and a pure observer like `metrics`/`recorder` — the
-  /// store is byte-identical with counters on, off, or unavailable
-  /// (asserted by tests). On hosts where perf_event_open is denied the
-  /// flag degrades to off: no counter metrics are interned, so output
-  /// matches a counters-off run byte for byte.
-  bool hw_counters = false;
-  /// Optional sampling CPU profiler (obs::SamplingProfiler): every worker
-  /// thread attaches for the duration of its task loop, so the drained
-  /// profile attributes campaign CPU to functions. Same pure-observer
-  /// contract as `metrics`/`recorder`/`hw_counters`: the store, metrics,
-  /// and journal are byte-identical with the profiler on, off, or
-  /// unavailable (asserted by tests); null means no signal handlers, no
-  /// timers, nothing.
-  obs::SamplingProfiler* profiler = nullptr;
-  /// Optional live telemetry hub (obs::TelemetryHub): the campaign adds
-  /// its attack count to the hub's planned total and every worker opens
-  /// a completion slot it stamps per task — the hub's sampler thread
-  /// derives tasks/s, ETA, and stall warnings from those stamps. Worker
-  /// cost is two relaxed atomic stores per task; same pure-observer
-  /// contract as everything above (store/manifest/journal byte-identical
-  /// with the hub on, off, or degraded, asserted by tests). Null = off.
-  obs::TelemetryHub* telemetry = nullptr;
+  /// Optional observers (obs/observers.hpp). Progress and telemetry count
+  /// (announcer, adversary, attack) triples.
+  obs::Observers observers;
 
   /// The attack types this campaign actually sweeps: `attacks`, or the
   /// single legacy `type` when the list is empty.
@@ -168,10 +119,6 @@ struct CampaignDataset {
 [[nodiscard]] CampaignDataset run_paper_campaigns(
     const Testbed& testbed, bgp::TieBreakMode tie_break,
     std::uint64_t tie_break_seed, std::size_t threads = 0,
-    obs::MetricsRegistry* metrics = nullptr,
-    obs::FlightRecorder* recorder = nullptr,
-    const std::function<void(std::size_t, std::size_t)>& progress = {},
-    bool hw_counters = false, obs::SamplingProfiler* profiler = nullptr,
-    obs::TelemetryHub* telemetry = nullptr);
+    const obs::Observers& observers = {});
 
 }  // namespace marcopolo::core

@@ -66,7 +66,7 @@ Orchestrator::Orchestrator(Testbed& testbed, const OrchestratorConfig& config)
       config_(config),
       issuer_(netsim::hash_combine(config.seed, 0x10)),
       results_(testbed.sites().size(), testbed.perspectives().size()) {
-  obs::MetricsRegistry* reg = config_.metrics;
+  obs::MetricsRegistry* reg = config_.observers.metrics;
   rstats_.attacks_completed =
       obs::MetricsRegistry::counter(reg, "orchestrator.attacks_completed");
   rstats_.attack_attempts =
@@ -85,7 +85,9 @@ Orchestrator::Orchestrator(Testbed& testbed, const OrchestratorConfig& config)
   rstats_.attack_virtual_ms =
       obs::MetricsRegistry::histogram(reg, "orchestrator.attack_virtual_ms");
   rstats_.propagation = bgp::PropagationMetrics::create(reg);
-  if (config_.recorder != nullptr) flight_ = config_.recorder->open_buffer();
+  if (config_.observers.recorder != nullptr) {
+    flight_ = config_.observers.recorder->open_buffer();
+  }
   net_ = std::make_unique<netsim::Network>(
       sim_, netsim::hash_combine(config.seed, 0x20));
   net_->set_loss_model(config.loss);
@@ -179,10 +181,10 @@ Orchestrator::Output Orchestrator::run() {
                       << obs::field("lanes", lanes_.size())
                       << obs::field("recording", flight_ != nullptr);
 
-  if (config_.telemetry != nullptr) {
-    config_.telemetry->add_planned_tasks(work_.size());
+  if (config_.observers.telemetry != nullptr) {
+    config_.observers.telemetry->add_planned_tasks(work_.size());
     if (telemetry_slot_ == nullptr) {
-      telemetry_slot_ = config_.telemetry->open_worker_slot();
+      telemetry_slot_ = config_.observers.telemetry->open_worker_slot();
     }
   }
 
@@ -190,7 +192,7 @@ Orchestrator::Output Orchestrator::run() {
   sim_.run();
 
   if (telemetry_slot_ != nullptr) {
-    config_.telemetry->close_worker_slot(telemetry_slot_);
+    config_.observers.telemetry->close_worker_slot(telemetry_slot_);
   }
   stats_.duration = sim_.now() - netsim::kEpoch;
   return Output{std::move(results_), stats_};
@@ -218,7 +220,7 @@ void Orchestrator::launch_attack(Lane& lane) {
   const bgp::ScenarioConfig sc{
       config_.type, config_.tie_break,
       netsim::hash_combine(config_.seed, 0x40), config_.roas,
-      config_.metrics != nullptr ? &rstats_.propagation : nullptr};
+      config_.observers.metrics != nullptr ? &rstats_.propagation : nullptr};
   attack->scenario = std::make_unique<bgp::HijackScenario>(
       testbed_.internet().graph(), testbed_.sites()[victim].node,
       testbed_.sites()[adversary].node, lane.prefix, sc);
@@ -411,7 +413,7 @@ void Orchestrator::conclude_attack(Lane& lane) {
       flight_->record_verdict(v);
       if (why.outcome == bgp::OriginReached::Adversary) ++adversary_verdicts;
     }
-    config_.recorder->note_verdicts(n, adversary_verdicts);
+    config_.observers.recorder->note_verdicts(n, adversary_verdicts);
   }
 
   // Withdraw.
@@ -433,7 +435,7 @@ void Orchestrator::conclude_attack(Lane& lane) {
     ++stats_.attacks_completed;
     rstats_.attacks_completed.add(1);
     if (telemetry_slot_ != nullptr) {
-      config_.telemetry->note_task_done(telemetry_slot_);
+      config_.observers.telemetry->note_task_done(telemetry_slot_);
     }
   }
   lane.current.reset();

@@ -28,9 +28,7 @@
 #include "mpic/acme_ca.hpp"
 #include "mpic/certbot_client.hpp"
 #include "mpic/rest_service.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/metrics.hpp"
-#include "obs/telemetry_hub.hpp"
+#include "obs/observers.hpp"
 
 namespace marcopolo::core {
 
@@ -53,33 +51,17 @@ struct OrchestratorConfig {
   /// endpoint alongside the global sweep.
   bool include_production_systems = true;
 
-  /// Optional metrics sink. The orchestrator's counters live on the
-  /// registry under "orchestrator.*" (attempts, retries, loss events,
-  /// ...); the CampaignStats returned from run() is a thin view of the
-  /// same accounting kept for API compatibility. Null = registry
-  /// bookkeeping off, stats still filled.
-  obs::MetricsRegistry* metrics = nullptr;
-
-  /// Optional flight recorder. The orchestrator (single-threaded inside
-  /// the virtual-time simulator) opens one lane and emits an
-  /// AttackSpanRecord per attempt, a QuorumRecord per MPIC system
-  /// decision, and a provenance VerdictRecord per perspective — all
-  /// stamped in virtual simulation time. Pure observer: results and
-  /// stats are unchanged by recording. Null = no recording.
-  obs::FlightRecorder* recorder = nullptr;
-
-  /// Optional live telemetry hub. The orchestrator registers one worker
-  /// slot (it is single-threaded inside the virtual-time simulator),
-  /// adds its pair count to the hub's planned total, and stamps the slot
-  /// per concluded attack. Pure observer like `metrics`/`recorder`.
-  obs::TelemetryHub* telemetry = nullptr;
+  /// Optional observers (obs/observers.hpp). Counters go under
+  /// "orchestrator.*"; records are stamped in virtual simulation time.
+  obs::Observers observers;
 
   /// Pairs to attack; empty = every ordered (victim, adversary) pair.
   std::vector<std::pair<SiteIndex, SiteIndex>> pairs;
 };
 
-/// Campaign accounting, mirrored onto OrchestratorConfig::metrics when a
-/// registry is attached (counter names in parentheses).
+/// Campaign accounting, mirrored onto the registry in
+/// OrchestratorConfig::observers when one is attached (counter names in
+/// parentheses).
 struct CampaignStats {
   std::size_t attacks_completed = 0;   ///< (orchestrator.attacks_completed)
   std::size_t attack_attempts = 0;     ///< (orchestrator.attack_attempts)
@@ -145,7 +127,7 @@ class Orchestrator {
   ResultStore results_;
   CampaignStats stats_;
 
-  /// Registry mirror of stats_ (null handles when config_.metrics is).
+  /// Registry mirror of stats_ (null handles without a registry).
   struct RegistryStats {
     obs::Counter attacks_completed;
     obs::Counter attack_attempts;
@@ -161,11 +143,11 @@ class Orchestrator {
     bgp::PropagationMetrics propagation;
   } rstats_;
 
-  /// Flight-recorder lane (null when config_.recorder is). The simulator
-  /// is single-threaded, so one buffer serves every lane and callback.
+  /// Flight-recorder lane (null without a recorder). The simulator is
+  /// single-threaded, so one buffer serves every lane and callback.
   obs::FlightBuffer* flight_ = nullptr;
 
-  /// Telemetry completion slot (null when config_.telemetry is).
+  /// Telemetry completion slot (null without a hub).
   obs::TelemetryWorkerSlot* telemetry_slot_ = nullptr;
 };
 

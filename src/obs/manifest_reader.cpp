@@ -93,6 +93,7 @@ ReadManifest ManifestReader::read_string(const std::string& text) {
     }
   }
   out.perf_counters = doc.string_or("perf_counters", "");
+  out.perf_counters_reason = doc.string_or("perf_counters_reason", "");
   if (const json::Value* phases = doc.find("phases");
       phases != nullptr && phases->is_array()) {
     for (const json::Value& phase : phases->array()) {

@@ -108,6 +108,8 @@ struct ReadManifest {
   /// "unavailable"); empty for documents that predate counters. Lets
   /// diff explain *why* counter columns are missing.
   std::string perf_counters;
+  /// "perf_counters_reason": why counters were unavailable (errno text).
+  std::string perf_counters_reason;
 
   MetricsSnapshot metrics;
 

@@ -181,6 +181,8 @@ RunComparison compare_runs(const ReadManifest& base,
   }
   out.base_perf_counters = base.perf_counters;
   out.cand_perf_counters = cand.perf_counters;
+  out.base_perf_counters_reason = base.perf_counters_reason;
+  out.cand_perf_counters_reason = cand.perf_counters_reason;
 
   // Hot symbols: union of both top-N tables, ranked by share growth.
   // Shares normalize by each run's own sample total, so a longer
@@ -224,6 +226,7 @@ DiffGateResult evaluate_gate(const RunComparison& comparison,
                              const DiffGateConfig& config) {
   DiffGateResult out;
   bool instructions_breached = false;
+  bool instructions_armed = false;
   for (const BenchRunDelta& run : comparison.runs) {
     if (run.seconds_pct() > config.max_regress_pct) {
       out.pass = false;
@@ -250,6 +253,7 @@ DiffGateResult evaluate_gate(const RunComparison& comparison,
           format_pct(config.max_regress_pct).substr(1));
     }
     if (phase.base_has_counters && phase.cand_has_counters) {
+      instructions_armed = true;
       // Instructions retired: deterministic, so gated far below the
       // wall-clock threshold. Improvements and sub-threshold drift pass
       // silently; the mpinspect tables still show the numbers.
@@ -306,6 +310,21 @@ DiffGateResult evaluate_gate(const RunComparison& comparison,
       }
       out.notes.push_back(std::move(note));
     }
+  }
+  if (!instructions_armed && (!comparison.base_perf_counters.empty() ||
+                              !comparison.cand_perf_counters.empty())) {
+    const auto side = [](const std::string& value, const std::string& why) {
+      return (value.empty() ? "not recorded" : value) +
+             (why.empty() ? "" : " (" + why + ")");
+    };
+    out.notes.push_back(
+        "instructions gate not armed: no phase has counters on both sides "
+        "(baseline perf_counters: " +
+        side(comparison.base_perf_counters,
+             comparison.base_perf_counters_reason) +
+        "; candidate perf_counters: " +
+        side(comparison.cand_perf_counters,
+             comparison.cand_perf_counters_reason) + ")");
   }
   for (const QuantileDelta& quantile : comparison.quantiles) {
     if (quantile.q < 0.95 || !is_time_histogram(quantile.name)) continue;

@@ -208,6 +208,8 @@ struct RunComparison {
   /// *why* a side has no counter columns instead of silently noting.
   std::string base_perf_counters;
   std::string cand_perf_counters;
+  std::string base_perf_counters_reason;
+  std::string cand_perf_counters_reason;
 
   /// Hot-symbol regression attribution, present when both documents
   /// carry a profile section; sorted by share_delta_pp descending (the
@@ -238,9 +240,13 @@ struct RunComparison {
 /// scheduler-jitter floor, so a 3% growth is real work, not noise. When
 /// only one side has counters (old baseline, or a host without a PMU —
 /// the availability echo says which) instructions are noted, never
-/// gated. IPC and cache-miss-rate shifts are diagnostic notes: they
-/// attribute *why* a phase got slower (memory-bound vs compute-bound)
-/// but are machine-dependent, so they never fail the gate.
+/// gated. When either document echoes counter availability and no phase
+/// has counters on both sides, one note says the instructions gate never
+/// armed, with each side's availability and reason, so a PASS is not
+/// read as "instructions held". IPC and cache-miss-rate shifts are
+/// diagnostic notes: they attribute *why* a phase got slower
+/// (memory-bound vs compute-bound) but are machine-dependent, so they
+/// never fail the gate.
 struct DiffGateConfig {
   double max_regress_pct = 25.0;
   /// Gate threshold for per-phase instructions retired, in percent.

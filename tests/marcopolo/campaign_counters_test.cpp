@@ -7,25 +7,21 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perf_counters.hpp"
+#include "store_bytes.hpp"
 #include "testbed_fixture.hpp"
 
 namespace marcopolo::core {
 namespace {
 
+using testing_support::csv_bytes;
+using testing_support::same_bytes;
 using testing_support::shared_testbed;
-
-std::string csv_bytes(const ResultStore& store) {
-  std::ostringstream out;
-  store.save_csv(out);
-  return out.str();
-}
 
 TEST(CampaignCounters, HwCountersLeaveResultBytesIdentical) {
   FastCampaignConfig plain;
@@ -36,10 +32,10 @@ TEST(CampaignCounters, HwCountersLeaveResultBytesIdentical) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     FastCampaignConfig counted;
     counted.threads = threads;
-    counted.hw_counters = true;
+    counted.observers.hw_counters = true;
     const std::string with_counters = csv_bytes(run_fast_campaign(
         shared_testbed(), counted));
-    EXPECT_EQ(with_counters, baseline)
+    EXPECT_TRUE(same_bytes(with_counters, baseline))
         << "hw_counters changed the store (threads=" << threads << ")";
   }
 }
@@ -56,8 +52,8 @@ TEST(CampaignCounters, MetricsShapeMatchesAvailability) {
     obs::MetricsRegistry registry;
     FastCampaignConfig cfg;
     cfg.threads = 1;
-    cfg.metrics = &registry;
-    cfg.hw_counters = hw_counters;
+    cfg.observers.metrics = &registry;
+    cfg.observers.hw_counters = hw_counters;
     (void)run_fast_campaign(shared_testbed(), cfg);
     return registry.snapshot();
   };
@@ -91,8 +87,8 @@ TEST(CampaignCounters, RecordedSpansCarryCountersOnlyWhenAvailable) {
   obs::FlightRecorder recorder;
   FastCampaignConfig cfg;
   cfg.threads = 1;
-  cfg.recorder = &recorder;
-  cfg.hw_counters = true;
+  cfg.observers.recorder = &recorder;
+  cfg.observers.hw_counters = true;
   (void)run_fast_campaign(shared_testbed(), cfg);
   const obs::FlightJournal journal = recorder.drain();
   ASSERT_FALSE(journal.workers.empty());

@@ -49,7 +49,7 @@ TEST(CampaignFlight, RecordingDoesNotChangeResultBytes) {
     obs::FlightRecorder recorder;
     FastCampaignConfig recorded;
     recorded.threads = threads;
-    recorded.recorder = &recorder;
+    recorded.observers.recorder = &recorder;
     const ResultStore store = run_fast_campaign(shared_testbed(), recorded);
     expect_stores_identical(baseline, store);
 
@@ -70,7 +70,7 @@ TEST(CampaignFlight, VerdictProvenanceMatchesStore) {
   obs::FlightRecorder recorder;
   FastCampaignConfig cfg;
   cfg.threads = 1;
-  cfg.recorder = &recorder;
+  cfg.observers.recorder = &recorder;
   const ResultStore store = run_fast_campaign(shared_testbed(), cfg);
   const obs::FlightJournal journal = recorder.drain();
 
@@ -109,7 +109,7 @@ TEST(CampaignFlight, LiveCountersTrackJournal) {
   obs::FlightRecorder recorder;
   FastCampaignConfig cfg;
   cfg.threads = 4;
-  cfg.recorder = &recorder;
+  cfg.observers.recorder = &recorder;
   (void)run_fast_campaign(shared_testbed(), cfg);
 
   // The live (progress-reporter) counters and the drained journal are
@@ -130,13 +130,13 @@ TEST(CampaignFlight, OrchestratorRecordingIsPureObserver) {
   for (SiteIndex v = 0; v < 2; ++v) {
     for (SiteIndex a = 4; a < 6; ++a) cfg.pairs.emplace_back(v, a);
   }
-  cfg.recorder = &recorder;
+  cfg.observers.recorder = &recorder;
   Orchestrator orchestrator(testbed, cfg);
   const auto out = orchestrator.run();
   const obs::FlightJournal journal = recorder.drain();
 
   OrchestratorConfig bare = cfg;
-  bare.recorder = nullptr;
+  bare.observers.recorder = nullptr;
   Orchestrator control(testbed, bare);
   const auto control_out = control.run();
   expect_stores_identical(out.results, control_out.results);

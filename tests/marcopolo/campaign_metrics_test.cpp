@@ -50,7 +50,7 @@ TEST(CampaignMetrics, RegistryDoesNotChangeResultBytes) {
     obs::MetricsRegistry registry;
     FastCampaignConfig instrumented;
     instrumented.threads = threads;
-    instrumented.metrics = &registry;
+    instrumented.observers.metrics = &registry;
     const ResultStore store = run_fast_campaign(shared_testbed(), instrumented);
     expect_stores_identical(baseline, store);
     EXPECT_GT(registry.snapshot().counter("campaign.tasks_executed"), 0u)
@@ -63,7 +63,7 @@ obs::MetricsSnapshot campaign_snapshot(std::size_t threads) {
   obs::MetricsRegistry registry;
   FastCampaignConfig cfg;
   cfg.threads = threads;
-  cfg.metrics = &registry;
+  cfg.observers.metrics = &registry;
   (void)run_fast_campaign(shared_testbed(), cfg);
   return registry.snapshot();
 }
@@ -114,7 +114,7 @@ TEST(CampaignMetrics, DnsSurfaceCountsCollapses) {
     cfg.dns_host_of_victim[v] = static_cast<SiteIndex>(v % 3);
   }
   cfg.threads = 1;
-  cfg.metrics = &registry;
+  cfg.observers.metrics = &registry;
   (void)run_fast_campaign(tb, cfg);
   const obs::MetricsSnapshot snap = registry.snapshot();
 
@@ -134,8 +134,7 @@ TEST(CampaignMetrics, ProgressCallbackReachesTotalSerially) {
   std::vector<std::pair<std::size_t, std::size_t>> calls;
   FastCampaignConfig cfg;
   cfg.threads = 1;
-  cfg.progress_every = 10;
-  cfg.progress = [&](std::size_t done, std::size_t total) {
+  cfg.observers.progress = [&](std::size_t done, std::size_t total) {
     calls.emplace_back(done, total);
   };
   (void)run_fast_campaign(tb, cfg);
@@ -160,8 +159,7 @@ TEST(CampaignMetrics, ProgressCallbackIsThreadSafeAndFinal) {
   std::size_t call_count = 0;
   FastCampaignConfig cfg;
   cfg.threads = 4;
-  cfg.progress_every = 16;
-  cfg.progress = [&](std::size_t done, std::size_t total) {
+  cfg.observers.progress = [&](std::size_t done, std::size_t total) {
     std::scoped_lock lock(mutex);
     EXPECT_EQ(total, expected_total);
     EXPECT_LE(done, total);
@@ -183,7 +181,7 @@ TEST(CampaignMetrics, OrchestratorCountersMirrorStats) {
     for (SiteIndex a = 4; a < 6; ++a) cfg.pairs.emplace_back(v, a);
   }
   cfg.loss = netsim::LossModel{0.02, 0.02};  // exercise retries and losses
-  cfg.metrics = &registry;
+  cfg.observers.metrics = &registry;
   Orchestrator orchestrator(testbed, cfg);
   const auto out = orchestrator.run();
   const obs::MetricsSnapshot snap = registry.snapshot();
@@ -215,7 +213,7 @@ TEST(CampaignMetrics, OrchestratorCountersMirrorStats) {
 
   // And the registry must not have perturbed the measurements themselves.
   OrchestratorConfig bare = cfg;
-  bare.metrics = nullptr;
+  bare.observers.metrics = nullptr;
   Orchestrator control(testbed, bare);
   const auto control_out = control.run();
   expect_stores_identical(out.results, control_out.results);

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -17,18 +16,15 @@
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/symbolize.hpp"
+#include "store_bytes.hpp"
 #include "testbed_fixture.hpp"
 
 namespace marcopolo::core {
 namespace {
 
+using testing_support::csv_bytes;
+using testing_support::same_bytes;
 using testing_support::shared_testbed;
-
-std::string csv_bytes(const ResultStore& store) {
-  std::ostringstream out;
-  store.save_csv(out);
-  return out.str();
-}
 
 TEST(CampaignProfile, ProfilerLeavesResultBytesIdentical) {
   FastCampaignConfig plain;
@@ -40,10 +36,10 @@ TEST(CampaignProfile, ProfilerLeavesResultBytesIdentical) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     FastCampaignConfig profiled;
     profiled.threads = threads;
-    profiled.profiler = &profiler;
+    profiled.observers.profiler = &profiler;
     const std::string with_profiler =
         csv_bytes(run_fast_campaign(shared_testbed(), profiled));
-    EXPECT_EQ(with_profiler, baseline)
+    EXPECT_TRUE(same_bytes(with_profiler, baseline))
         << "profiler changed the store (threads=" << threads << ")";
   }
   // The profile itself is a side artifact, never part of the store.
@@ -63,8 +59,8 @@ TEST(CampaignProfile, CounterSetIdenticalWithProfilerOnOrOff) {
     obs::MetricsRegistry registry;
     FastCampaignConfig cfg;
     cfg.threads = 1;
-    cfg.metrics = &registry;
-    cfg.profiler = profiler;
+    cfg.observers.metrics = &registry;
+    cfg.observers.profiler = profiler;
     (void)run_fast_campaign(shared_testbed(), cfg);
     return registry.snapshot().counters;
   };
@@ -88,8 +84,8 @@ TEST(CampaignProfile, JournalRecordsIdenticalWithProfilerOnOrOff) {
     obs::FlightRecorder recorder;
     FastCampaignConfig cfg;
     cfg.threads = 1;
-    cfg.recorder = &recorder;
-    cfg.profiler = profiler;
+    cfg.observers.recorder = &recorder;
+    cfg.observers.profiler = profiler;
     (void)run_fast_campaign(shared_testbed(), cfg);
     return recorder.drain();
   };
@@ -127,7 +123,7 @@ TEST(CampaignProfile, CampaignSamplesAttributeToWorkers) {
   obs::SamplingProfiler profiler;
   FastCampaignConfig cfg;
   cfg.threads = 2;
-  cfg.profiler = &profiler;
+  cfg.observers.profiler = &profiler;
   (void)run_fast_campaign(shared_testbed(), cfg);
 
   const obs::CpuProfile profile = obs::symbolize_profile(profiler.drain());

@@ -7,24 +7,20 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/telemetry_hub.hpp"
 #include "obs/telemetry_server.hpp"
+#include "store_bytes.hpp"
 #include "testbed_fixture.hpp"
 
 namespace marcopolo::core {
 namespace {
 
+using testing_support::csv_bytes;
+using testing_support::same_bytes;
 using testing_support::shared_testbed;
-
-std::string csv_bytes(const ResultStore& store) {
-  std::ostringstream out;
-  store.save_csv(out);
-  return out.str();
-}
 
 TEST(CampaignTelemetry, HubLeavesResultBytesIdentical) {
   FastCampaignConfig plain;
@@ -39,11 +35,11 @@ TEST(CampaignTelemetry, HubLeavesResultBytesIdentical) {
     hub.start();
     FastCampaignConfig observed;
     observed.threads = threads;
-    observed.telemetry = &hub;
+    observed.observers.telemetry = &hub;
     const std::string with_hub = csv_bytes(run_fast_campaign(
         shared_testbed(), observed));
     hub.stop();
-    EXPECT_EQ(with_hub, baseline)
+    EXPECT_TRUE(same_bytes(with_hub, baseline))
         << "telemetry changed the store (threads=" << threads << ")";
     EXPECT_GT(hub.latest().tasks_done, 0u) << "hub saw no completions";
   }
@@ -71,12 +67,13 @@ TEST(CampaignTelemetry, DegradedEndpointLeavesResultBytesIdentical) {
   EXPECT_FALSE(hub.serving());
   FastCampaignConfig degraded;
   degraded.threads = 1;
-  degraded.telemetry = &hub;
+  degraded.observers.telemetry = &hub;
   const std::string with_hub = csv_bytes(run_fast_campaign(
       shared_testbed(), degraded));
   hub.stop();
   squatter.stop();
-  EXPECT_EQ(with_hub, baseline) << "degraded telemetry changed the store";
+  EXPECT_TRUE(same_bytes(with_hub, baseline))
+      << "degraded telemetry changed the store";
 }
 
 TEST(CampaignTelemetry, RegistryBytesIdenticalWithHubAttached) {
@@ -87,8 +84,8 @@ TEST(CampaignTelemetry, RegistryBytesIdenticalWithHubAttached) {
     obs::MetricsRegistry registry;
     FastCampaignConfig cfg;
     cfg.threads = 1;
-    cfg.metrics = &registry;
-    cfg.telemetry = hub;
+    cfg.observers.metrics = &registry;
+    cfg.observers.telemetry = hub;
     (void)run_fast_campaign(shared_testbed(), cfg);
     return registry.snapshot().counters;
   };
@@ -110,7 +107,7 @@ TEST(CampaignTelemetry, HubTracksPlannedAndCompletedTasks) {
   obs::TelemetryHub hub(tcfg);  // not started: tick_now drives it
   FastCampaignConfig cfg;
   cfg.threads = 2;
-  cfg.telemetry = &hub;
+  cfg.observers.telemetry = &hub;
   (void)run_fast_campaign(shared_testbed(), cfg);
   hub.tick_now();
   const obs::TelemetrySnapshot snap = hub.latest();

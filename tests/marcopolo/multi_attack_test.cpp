@@ -5,42 +5,21 @@
 // drop-in replacement for K separate campaigns.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bgp/attack_model.hpp"
 #include "marcopolo/fast_campaign.hpp"
+#include "store_bytes.hpp"
 #include "testbed_fixture.hpp"
 
 namespace marcopolo::core {
 namespace {
 
+using testing_support::csv_bytes;
+using testing_support::same_bytes;
 using testing_support::shared_testbed;
 using testing_support::small_testbed_config;
-
-std::string csv_bytes(const ResultStore& store) {
-  std::ostringstream out;
-  store.save_csv(out);
-  return out.str();
-}
-
-/// Byte equality of two CSV dumps, naming the first line that differs.
-/// EXPECT_EQ on the strings themselves would make gtest build a line diff
-/// whose table is quadratic in the line count: tens of GB for a store.
-::testing::AssertionResult same_bytes(const std::string& a,
-                                      const std::string& b) {
-  if (a == b) return ::testing::AssertionSuccess();
-  std::size_t line = 1;
-  for (std::size_t i = 0; i < std::min(a.size(), b.size()) && a[i] == b[i];
-       ++i) {
-    if (a[i] == '\n') ++line;
-  }
-  return ::testing::AssertionFailure()
-         << "CSV bytes differ from line " << line << " onward (sizes "
-         << a.size() << " vs " << b.size() << ")";
-}
 
 FastCampaignConfig all_attacks_config() {
   FastCampaignConfig cfg;

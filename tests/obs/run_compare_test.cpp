@@ -431,6 +431,39 @@ TEST(CompareRuns, OneSidedPhaseCountersAreNotedNotGated) {
   EXPECT_NE(vs_old.notes[0].find("predates"), std::string::npos);
 }
 
+TEST(CompareRuns, UnarmedInstructionsGateIsNoted) {
+  // Both runs on a host without perf counters: nothing is gated on
+  // instructions, so the passing gate must say so, with each side's
+  // availability echo and reason.
+  const ReadManifest without = ManifestReader::read_string(
+      R"({"benchmark": "campaign_wallclock", "perf_counters": "unavailable",
+          "perf_counters_reason": "perf_event_open: No such file or directory",
+          "phases": [{"name": "resilience_kernel_ms", "seconds": 0.25}]})");
+  ASSERT_TRUE(without.ok());
+  const DiffGateResult gate =
+      evaluate_gate(compare_runs(without, without), DiffGateConfig{});
+  EXPECT_TRUE(gate.pass);
+  ASSERT_EQ(gate.notes.size(), 1u);
+  EXPECT_NE(gate.notes[0].find("instructions gate not armed"),
+            std::string::npos);
+  for (const char* side : {"baseline", "candidate"}) {
+    EXPECT_NE(gate.notes[0].find(std::string(side) +
+                                 " perf_counters: unavailable "
+                                 "(perf_event_open: No such file or "
+                                 "directory)"),
+              std::string::npos)
+        << gate.notes[0];
+  }
+
+  // Counters on both sides arm the gate: no such note.
+  const ReadManifest with = counter_phase_doc(1'000'000'000, 500'000'000);
+  const DiffGateResult armed =
+      evaluate_gate(compare_runs(with, with), DiffGateConfig{});
+  for (const std::string& note : armed.notes) {
+    EXPECT_EQ(note.find("not armed"), std::string::npos) << note;
+  }
+}
+
 // --- check_trace_bundle ---------------------------------------------------
 
 class BundleCheckTest : public ::testing::Test {
