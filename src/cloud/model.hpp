@@ -77,6 +77,20 @@ struct CloudConfig {
 /// potato (Azure with the densest peering), GCP Premium Tier cold potato.
 [[nodiscard]] CloudConfig default_config(topo::CloudProvider provider);
 
+/// Reusable per-thread storage for CloudProviderModel::resolve_all() and
+/// select_all(): it holds one backbone's egress class between the
+/// per-backbone step and the per-perspective picks, so a steady-state
+/// call allocates nothing. Opaque to callers; one per worker.
+class EgressScratch {
+ private:
+  friend class CloudProviderModel;
+  struct Member {
+    const bgp::RouteCandidate* route = nullptr;
+    std::size_t column = 0;  ///< distance-table column of its ingress POP
+  };
+  std::vector<Member> members_;
+};
+
 class CloudProviderModel {
  public:
   /// Wires the backbone AS into `internet` (one POP per catalog region).
@@ -103,26 +117,29 @@ class CloudProviderModel {
       std::size_t perspective, const bgp::HijackScenario& scenario,
       const bgp::RoaRegistry* roas = nullptr) const;
 
-  /// resolve() plus decision provenance. Shares the selection code path
-  /// with resolve(), so `resolve_explained(...).outcome` is always equal
-  /// to `resolve(...)` for the same inputs (asserted by tests).
-  [[nodiscard]] ResolveExplanation resolve_explained(
-      std::size_t perspective, const bgp::HijackScenario& scenario,
-      const bgp::RoaRegistry* roas = nullptr) const;
+  /// resolve() for every perspective at once, plus decision provenance:
+  /// `out[p]` is perspective p's verdict, and `out.size()` must equal
+  /// perspective_count(). The backbone's class is built once, and a
+  /// cold-potato zone decides once for all of its VMs. resolve(),
+  /// select_egress() and this call run the same two selection steps, so
+  /// `out[p].outcome == resolve(p, ...)` always (asserted by tests).
+  void resolve_all(const bgp::HijackScenario& scenario,
+                   const bgp::RoaRegistry* roas, EgressScratch& scratch,
+                   std::span<ResolveExplanation> out) const;
 
   /// Egress selection over an explicit candidate list (exposed for tests).
+  /// Throws std::out_of_range if a candidate's ingress POP is not one of
+  /// this backbone's POPs.
   [[nodiscard]] const bgp::RouteCandidate* select_egress(
       std::size_t perspective, std::span<const bgp::RouteCandidate> rib,
       const bgp::RouteComparator& cmp,
       const bgp::RoaRegistry* roas = nullptr) const;
 
-  /// select_egress() that also reports provenance (`outcome` is left for
-  /// the caller; `contested` and `decided_by` are filled). `why` may be
-  /// null, in which case this is exactly select_egress().
-  [[nodiscard]] const bgp::RouteCandidate* select_egress_explained(
-      std::size_t perspective, std::span<const bgp::RouteCandidate> rib,
-      const bgp::RouteComparator& cmp, const bgp::RoaRegistry* roas,
-      ResolveExplanation* why) const;
+  /// resolve_all() over an explicit candidate list (exposed for tests).
+  void select_all(std::span<const bgp::RouteCandidate> rib,
+                  const bgp::RouteComparator& cmp,
+                  const bgp::RoaRegistry* roas, EgressScratch& scratch,
+                  std::span<ResolveExplanation> out) const;
 
   /// Live variant: resolve a perspective from the backbone's event-driven
   /// speaker state. Equal-attribute ties break toward the oldest route
@@ -136,9 +153,43 @@ class CloudProviderModel {
       const bgp::RoaRegistry* roas = nullptr) const;
 
  private:
+  /// Result of the per-backbone step: the best (local-pref, path-length)
+  /// class among the ROV-valid candidates, and the provenance settled
+  /// before the egress policy runs.
+  struct EgressClass {
+    std::span<const EgressScratch::Member> members;
+    /// `contested` plus LocalPref, PathLength or Unopposed (outcome unset).
+    ResolveExplanation why;
+    /// Both origins made the class: the pick reports IngressPop or
+    /// RouteAge.
+    bool policy_decides = false;
+    /// The route-age preference at the backbone (hot potato's tie-break).
+    bgp::OriginRole age_preferred = bgp::OriginRole::Victim;
+  };
+
+  /// Per-backbone step, run once per (RIB, comparator, ROAs): ROV filter,
+  /// best class and its provenance. Members are stored in `scratch`.
+  [[nodiscard]] EgressClass prepare(std::span<const bgp::RouteCandidate> rib,
+                                    const bgp::RouteComparator& cmp,
+                                    const bgp::RoaRegistry* roas,
+                                    EgressScratch& scratch) const;
+
+  /// Per-perspective step: the class member the decision point `row` of
+  /// the distance table egresses through (null on an empty class). A row
+  /// is a region under hot potato and a zone under cold potato; `why`
+  /// gets IngressPop or RouteAge when the policy decided.
+  [[nodiscard]] const bgp::RouteCandidate* pick(
+      std::size_t row, const EgressClass& cls, const bgp::RouteComparator& cmp,
+      ResolveExplanation& why) const;
+
   void check_perspective(std::size_t perspective) const {
     if (perspective >= regions_.size()) {
       throw std::out_of_range("perspective index");
+    }
+  }
+  void check_verdicts(std::span<const ResolveExplanation> out) const {
+    if (out.size() != regions_.size()) {
+      throw std::invalid_argument("one verdict per perspective");
     }
   }
 
@@ -146,9 +197,12 @@ class CloudProviderModel {
   const bgp::AsGraph* graph_ = nullptr;  // set at wiring; outlives the model
   bgp::NodeId backbone_;
   std::span<const topo::RegionInfo> regions_;
-  std::vector<netsim::GeoPoint> pop_location_;  // by PopId
-  std::vector<std::uint8_t> pop_zone_;           // by PopId (zone id)
-  std::vector<netsim::GeoPoint> zone_centroid_;  // by zone id
+  std::vector<std::uint8_t> pop_zone_;  // by PopId (zone id)
+  /// Great-circle km from each decision point (row: a region's VM under
+  /// hot potato, a zone centroid under cold potato) to each POP (column,
+  /// by PopId). The last column is the stand-in for an unknown ingress
+  /// POP. Row-major, perspective_count() + 1 columns.
+  std::vector<double> egress_km_;
 };
 
 }  // namespace marcopolo::cloud

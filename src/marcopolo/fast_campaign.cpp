@@ -110,8 +110,9 @@ struct CampaignTask {
   std::vector<SiteIndex> victims;
 };
 
-/// Per-worker state: one propagation workspace and one reusable scenario,
-/// so a worker's steady state allocates nothing but route-path churn.
+/// Per-worker state: one propagation workspace, one reusable scenario and
+/// one egress scratch, so a worker's steady state allocates nothing but
+/// route-path churn.
 class CampaignWorker {
  public:
   CampaignWorker(const Testbed& testbed, const FastCampaignConfig& config,
@@ -127,9 +128,7 @@ class CampaignWorker {
         metrics_(metrics),
         recorder_(recorder),
         flight_(flight),
-        outcomes_(testbed.perspectives().size(),
-                  bgp::OriginReached::None) {
-    if (flight_ != nullptr) explains_.resize(outcomes_.size());
+        verdicts_(testbed.perspectives().size()) {
     // Perf groups are per-thread, so each worker opens its own — the
     // constructor runs on the worker thread (drain()). Probe first: on a
     // denied host no fds are opened and the worker behaves exactly as
@@ -262,22 +261,11 @@ class CampaignWorker {
     if (config_.incremental) metrics_.delta_replays.add(1);
     // Resolve every perspective once per task; the outcome depends only on
     // (announcer, adversary), never on which victim the row belongs to.
-    // The explained resolution shares the selection code path with the
-    // plain one, so recording cannot change any outcome.
+    // Provenance comes with every verdict, so recording cannot change any
+    // outcome.
     {
       obs::ScopedTimer classify_timer(metrics_.classify_ns);
-      if (recording) {
-        for (const PerspectiveRecord& rec : perspectives) {
-          explains_[rec.index] = testbed_.perspective_outcome_explained(
-              rec.index, scenario_, edge_roas_);
-          outcomes_[rec.index] = explains_[rec.index].outcome;
-        }
-      } else {
-        for (const PerspectiveRecord& rec : perspectives) {
-          outcomes_[rec.index] =
-              testbed_.perspective_outcome(rec.index, scenario_, edge_roas_);
-        }
-      }
+      testbed_.resolve_all(scenario_, edge_roas_, egress_, verdicts_);
     }
     const std::uint64_t t_classified = recording ? obs::flight_now_ns() : 0;
     obs::CounterSample c_classified;
@@ -289,11 +277,11 @@ class CampaignWorker {
       if (v == adversary) continue;
       ++rows;
       for (const PerspectiveRecord& rec : perspectives) {
+        const cloud::ResolveExplanation& why = verdicts_[rec.index];
         store_.record_unsynchronized(attack, v,
                                      static_cast<SiteIndex>(adversary),
-                                     rec.index, outcomes_[rec.index]);
+                                     rec.index, why.outcome);
         if (recording) {
-          const cloud::ResolveExplanation& why = explains_[rec.index];
           flight_->record_verdict(make_verdict(v, adversary, rec.index,
                                                attack_tag, why.outcome,
                                                why.decided_by,
@@ -379,8 +367,8 @@ class CampaignWorker {
   bgp::PropagationWorkspace ws_;
   bgp::HijackScenario scenario_;
   bgp::DeltaPropagation delta_;
-  std::vector<bgp::OriginReached> outcomes_;
-  std::vector<cloud::ResolveExplanation> explains_;
+  cloud::EgressScratch egress_;
+  std::vector<cloud::ResolveExplanation> verdicts_;  // by perspective
   /// Per-worker perf group (null when hw_counters is off or the host
   /// denies perf_event_open) and locally accumulated deltas, flushed to
   /// the registry once via flush_counters().

@@ -87,6 +87,7 @@ Orchestrator::Orchestrator(Testbed& testbed, const OrchestratorConfig& config)
   rstats_.propagation = bgp::PropagationMetrics::create(reg);
   if (config_.observers.recorder != nullptr) {
     flight_ = config_.observers.recorder->open_buffer();
+    verdicts_.resize(testbed.perspectives().size());
   }
   net_ = std::make_unique<netsim::Network>(
       sim_, netsim::hash_combine(config.seed, 0x20));
@@ -395,14 +396,13 @@ void Orchestrator::conclude_attack(Lane& lane) {
     span.conclude_us = virtual_us(sim_.now());
     flight_->record_attack(span);
     // Provenance for every perspective of this attack: the scenario's own
-    // resolution explains the route the DCV fetch took (the explained
-    // path shares code with the plane's resolution, so outcomes agree).
+    // resolution explains the route the DCV fetch took (resolve_all shares
+    // code with the plane's resolution, so outcomes agree).
     std::uint64_t adversary_verdicts = 0;
-    const auto n = static_cast<std::uint16_t>(agents_.size());
+    testbed_.resolve_all(*attack.scenario, config_.roas, egress_, verdicts_);
+    const auto n = static_cast<std::uint16_t>(verdicts_.size());
     for (std::uint16_t p = 0; p < n; ++p) {
-      const cloud::ResolveExplanation why =
-          testbed_.perspective_outcome_explained(p, *attack.scenario,
-                                                 config_.roas);
+      const cloud::ResolveExplanation& why = verdicts_[p];
       obs::VerdictRecord v;
       v.victim = attack.victim;
       v.adversary = attack.adversary;

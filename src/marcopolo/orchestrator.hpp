@@ -146,6 +146,10 @@ class Orchestrator {
   /// Flight-recorder lane (null without a recorder). The simulator is
   /// single-threaded, so one buffer serves every lane and callback.
   obs::FlightBuffer* flight_ = nullptr;
+  /// Per-perspective verdicts of the attack being concluded, and the
+  /// egress scratch that fills them (used only with a recorder).
+  cloud::EgressScratch egress_;
+  std::vector<cloud::ResolveExplanation> verdicts_;
 
   /// Telemetry completion slot (null without a hub).
   obs::TelemetryWorkerSlot* telemetry_slot_ = nullptr;

@@ -82,15 +82,20 @@ bgp::OriginReached Testbed::perspective_outcome(
                        roas);
 }
 
-cloud::ResolveExplanation Testbed::perspective_outcome_explained(
-    std::uint16_t perspective, const bgp::HijackScenario& scenario,
-    const bgp::RoaRegistry* roas) const {
-  if (perspective >= perspectives_.size()) {
-    throw std::out_of_range("perspective index");
+void Testbed::resolve_all(const bgp::HijackScenario& scenario,
+                          const bgp::RoaRegistry* roas,
+                          cloud::EgressScratch& scratch,
+                          std::span<cloud::ResolveExplanation> out) const {
+  if (out.size() != perspectives_.size()) {
+    throw std::invalid_argument("resolve_all: one verdict per perspective");
   }
-  const auto& model = clouds_[perspective_cloud_[perspective]];
-  return model.resolve_explained(perspectives_[perspective].local_index,
-                                 scenario, roas);
+  // Each model's perspectives hold consecutive global indices.
+  std::size_t first = 0;
+  for (const cloud::CloudProviderModel& model : clouds_) {
+    model.resolve_all(scenario, roas, scratch,
+                      out.subspan(first, model.perspective_count()));
+    first += model.perspective_count();
+  }
 }
 
 }  // namespace marcopolo::core

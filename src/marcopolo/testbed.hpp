@@ -8,6 +8,7 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -77,11 +78,14 @@ class Testbed {
       std::uint16_t perspective, const bgp::HijackScenario& scenario,
       const bgp::RoaRegistry* roas = nullptr) const;
 
-  /// perspective_outcome() plus decision provenance (same code path, so
-  /// the outcome always matches).
-  [[nodiscard]] cloud::ResolveExplanation perspective_outcome_explained(
-      std::uint16_t perspective, const bgp::HijackScenario& scenario,
-      const bgp::RoaRegistry* roas = nullptr) const;
+  /// Every perspective's outcome plus decision provenance, one backbone
+  /// at a time: `out[p]` is global perspective p's verdict, and
+  /// `out.size()` must equal perspectives().size(). Same selection code
+  /// as perspective_outcome(), so the outcomes always match; `scratch`
+  /// is the caller's per-thread storage.
+  void resolve_all(const bgp::HijackScenario& scenario,
+                   const bgp::RoaRegistry* roas, cloud::EgressScratch& scratch,
+                   std::span<cloud::ResolveExplanation> out) const;
 
  private:
   topo::Internet internet_;

@@ -226,6 +226,30 @@ TEST_F(CloudModelTest, SelectEgressEmptyRibReturnsNull) {
   EXPECT_THROW((void)model.select_egress(10000, {}, cmp), std::out_of_range);
 }
 
+TEST_F(CloudModelTest, SelectEgressRejectsOutOfRangeIngressPop) {
+  // A caller's RIB may name a POP the backbone does not have; selection
+  // must refuse it rather than index past the distance table.
+  const CloudProviderModel model(internet_,
+                                 default_config(topo::CloudProvider::Aws));
+  const bgp::RouteComparator cmp(bgp::TieBreakMode::Hashed, 1);
+  const auto prefix = *netsim::Ipv4Prefix::parse("203.0.113.0/24");
+  for (const std::uint16_t pop :
+       {static_cast<std::uint16_t>(model.perspective_count()),
+        std::uint16_t{5000}}) {
+    const std::vector<bgp::RouteCandidate> rib = {bgp::RouteCandidate{
+        bgp::Announcement{prefix, {bgp::Asn{1}, bgp::Asn{9}},
+                          bgp::OriginRole::Adversary},
+        bgp::RouteSource::Peer, bgp::NodeId{0}, bgp::Asn{1}, bgp::PopId{pop}}};
+    EXPECT_THROW((void)model.select_egress(0, rib, cmp), std::out_of_range)
+        << "POP " << pop;
+    EgressScratch scratch;
+    std::vector<ResolveExplanation> out(model.perspective_count());
+    EXPECT_THROW(model.select_all(rib, cmp, nullptr, scratch, out),
+                 std::out_of_range)
+        << "POP " << pop;
+  }
+}
+
 TEST_F(CloudModelTest, SelectEgressPrefersPeerOverProvider) {
   const CloudProviderModel model(internet_,
                                  default_config(topo::CloudProvider::Aws));

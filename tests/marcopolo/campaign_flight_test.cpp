@@ -78,8 +78,8 @@ TEST(CampaignFlight, VerdictProvenanceMatchesStore) {
   std::size_t contested = 0;
   for (const auto& lane : journal.workers) {
     for (const obs::VerdictRecord& v : lane.verdicts) {
-      // The explained resolution shares the selection code path with the
-      // plain one, so every journal outcome must equal the stored one.
+      // The store and the journal record the same explained verdict, so
+      // every journal outcome must equal the stored one.
       EXPECT_EQ(static_cast<std::uint8_t>(
                     store.outcome(v.victim, v.adversary, v.perspective)),
                 v.outcome)
