@@ -15,9 +15,10 @@
 //
 // Defaults: JSON to stdout-adjacent "campaign_wallclock.json", thread
 // counts {1, 2, 4, 8}, all phases. The observer flags are obs::Session's
-// --trace-out, --profile[=hz], --telemetry-out, --serve-metrics and
-// --tick-ms (src/obs/session.hpp); they attach only to the recording
-// block below.
+// --trace-out, --profile[=hz], --telemetry-out and --tick-ms
+// (src/obs/session.hpp); they attach only to the recording block below.
+// Any other "--" token, or --phases/--attacks without a value, prints
+// the usage and exits 2 before any work.
 //
 // --phases selects which measurement groups run, so CI and local loops
 // can re-run one gated phase without paying for the rest (in particular,
@@ -48,14 +49,13 @@
 // plain run, minus one (best of 3 each, on a ~0.12 s run), plus the
 // on/off byte-identity of the recorded runs. The ratio is informational:
 // `mpinspect diff` does not gate it, and it moves by tens of percent
-// between reps on a shared host. --profile and --telemetry-out /
-// --serve-metrics ride every recorded rep, so the ratio then prices them
-// too; --profile adds a top-level "profile" section (hot symbols, same
-// schema as a run manifest) that `mpinspect diff` uses for hot-symbol
-// regression attribution. With --trace-out the journal of a
-// counter-enabled recorded rep is exported as a trace bundle into <dir>
-// (task spans carry instructions/cycles args when the host has
-// counters).
+// between reps on a shared host. --profile and --telemetry-out ride
+// every recorded rep, so the ratio then prices them too; --profile adds
+// a top-level "profile" section (hot symbols, same schema as a run
+// manifest) that `mpinspect diff` uses for hot-symbol regression
+// attribution. With --trace-out the journal of a counter-enabled
+// recorded rep is exported as a trace bundle into <dir> (task spans
+// carry instructions/cycles args when the host has counters).
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -180,7 +180,16 @@ int main(int argc, char** argv) {
   std::vector<bgp::AttackType> attack_list;
   const std::vector<std::string>& rest = args.rest;
   for (std::size_t i = 0; i < rest.size(); ++i) {
-    if (rest[i] == "--phases" && i + 1 < rest.size()) {
+    // Any other flag, or one of these two without its value, would
+    // otherwise be taken for the output path or a thread count.
+    if (rest[i].starts_with("--") &&
+        ((rest[i] != "--phases" && rest[i] != "--attacks") ||
+         i + 1 == rest.size())) {
+      std::cerr << "unexpected argument " << rest[i] << "\n" << usage
+                << std::endl;
+      return 2;
+    }
+    if (rest[i] == "--phases") {
       std::string bad;
       if (!PhaseSelection::parse(rest[++i], select, bad)) {
         std::cerr << "unknown phase \"" << bad
@@ -189,7 +198,7 @@ int main(int argc, char** argv) {
                   << std::endl;
         return 2;
       }
-    } else if (rest[i] == "--attacks" && i + 1 < rest.size()) {
+    } else if (rest[i] == "--attacks") {
       try {
         attack_list = bgp::parse_attack_list(rest[++i]);
       } catch (const std::invalid_argument& e) {

@@ -16,11 +16,11 @@
 // every plane sharing each victim's propagation baseline.
 //
 // The observer flags (--metrics-out, --trace-out, --progress, --verbose,
-// --profile[=hz], --telemetry-out, --serve-metrics, --tick-ms) are parsed
-// and wired by obs::Session (src/obs/session.hpp): one set of observers
-// rides the paper campaigns, the sweep, the orchestrated slice and the
-// optimizer, and the run ends by writing the RunManifest and the
-// self-checked trace bundle. Results are byte-identical with any of them
+// --profile[=hz], --telemetry-out, --tick-ms) are parsed and wired by
+// obs::Session (src/obs/session.hpp): one set of observers rides the
+// paper campaigns, the sweep, the orchestrated slice and the optimizer,
+// and the run ends by writing the RunManifest and the self-checked trace
+// bundle. Results are byte-identical with any of them
 // on, off, or degraded.
 #include <cstdio>
 #include <stdexcept>

@@ -11,14 +11,42 @@
 
 namespace marcopolo::core {
 
+namespace {
+
+/// `n` when the 16-bit index type can address it; the dims are checked
+/// before any plane size is computed, since sites^2 * perspectives wraps.
+std::size_t checked_dim(std::size_t n, std::size_t max, const char* what) {
+  if (n > max) {
+    throw std::invalid_argument("ResultStore " + std::string(what) + " " +
+                                std::to_string(n) + " exceeds " +
+                                std::to_string(max));
+  }
+  return n;
+}
+
+/// A reader's header check: dims the constructor would reject are a bad
+/// file, not a bad argument.
+void check_header_dims(std::size_t sites, std::size_t perspectives,
+                       const char* format) {
+  if (sites > ResultStore::kMaxSites ||
+      perspectives > ResultStore::kMaxPerspectives) {
+    throw std::runtime_error(std::string(format) + " dims out of range: " +
+                             std::to_string(sites) + " sites, " +
+                             std::to_string(perspectives) + " perspectives");
+  }
+}
+
+}  // namespace
+
 ResultStore::ResultStore(std::size_t num_sites, std::size_t num_perspectives)
     : ResultStore(num_sites, num_perspectives,
                   {bgp::AttackType::EquallySpecific}) {}
 
 ResultStore::ResultStore(std::size_t num_sites, std::size_t num_perspectives,
                          std::vector<bgp::AttackType> attacks)
-    : num_sites_(num_sites),
-      num_perspectives_(num_perspectives),
+    : num_sites_(checked_dim(num_sites, kMaxSites, "sites")),
+      num_perspectives_(
+          checked_dim(num_perspectives, kMaxPerspectives, "perspectives")),
       words_per_row_((num_sites * num_sites + 63) / 64),
       attacks_(std::move(attacks)),
       outcomes_(num_sites * num_sites * num_perspectives * attacks_.size(),
@@ -222,6 +250,7 @@ ResultStore ResultStore::load_csv(std::istream& in) {
     throw std::runtime_error(
         "results csv attack_types comment does not match header count");
   }
+  check_header_dims(sites, perspectives, "results csv");
   ResultStore store(sites, perspectives, std::move(attacks));
   std::getline(in, line);  // column header
   while (std::getline(in, line)) {
@@ -241,9 +270,10 @@ ResultStore ResultStore::load_csv(std::istream& in) {
         outcome > static_cast<int>(bgp::OriginReached::Adversary)) {
       throw std::runtime_error("results csv outcome out of range: " + line);
     }
-    if (t >= store.num_attacks()) {
-      throw std::runtime_error("results csv attack index out of range: " +
-                               line);
+    // Checked before narrowing: 65537 would record as SiteIndex 1.
+    if (v >= sites || a >= sites || p >= perspectives ||
+        t >= store.num_attacks()) {
+      throw std::runtime_error("results csv index out of range: " + line);
     }
     store.record(t, static_cast<SiteIndex>(v), static_cast<SiteIndex>(a),
                  static_cast<PerspectiveIndex>(p),
@@ -349,6 +379,7 @@ ResultStore ResultStore::load_binary(std::istream& in) {
       attacks.push_back(static_cast<bgp::AttackType>(byte));
     }
   }
+  check_header_dims(sites, perspectives, "results binary");
   ResultStore store(sites, perspectives, std::move(attacks));
   const std::size_t cells = store.outcomes_.size();
   const std::size_t cells_per_plane =

@@ -24,6 +24,7 @@
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <optional>
 #include <span>
 #include <string>
@@ -38,13 +39,21 @@ using PerspectiveIndex = std::uint16_t;
 
 class ResultStore {
  public:
+  /// The most sites and perspectives SiteIndex and PerspectiveIndex can
+  /// address.
+  static constexpr std::size_t kMaxSites =
+      std::size_t{std::numeric_limits<SiteIndex>::max()} + 1;
+  static constexpr std::size_t kMaxPerspectives =
+      std::size_t{std::numeric_limits<PerspectiveIndex>::max()} + 1;
+
   ResultStore() = default;
   /// Single-attack store; the one plane is tagged EquallySpecific (the
   /// pre-multi-attack default; use the vector constructor to tag it).
   ResultStore(std::size_t num_sites, std::size_t num_perspectives);
   /// One outcome plane per entry of `attacks`, in that order. Throws
-  /// std::invalid_argument on an empty or duplicate-carrying list (planes
-  /// are keyed by type; a repeated type would alias).
+  /// std::invalid_argument on more than kMaxSites sites or
+  /// kMaxPerspectives perspectives, or on an empty or duplicate-carrying
+  /// list (planes are keyed by type; a repeated type would alias).
   ResultStore(std::size_t num_sites, std::size_t num_perspectives,
               std::vector<bgp::AttackType> attacks);
 
@@ -189,7 +198,8 @@ class ResultStore {
   /// schema-1 header (no `attacks` field, four-column rows) loads as a
   /// single plane tagged with the file's recorded attack type (the
   /// `# attack_types=` comment) or EquallySpecific when the file predates
-  /// the tag.
+  /// the tag. Throws std::runtime_error on header dims beyond kMaxSites /
+  /// kMaxPerspectives and on a row whose index is outside them.
   [[nodiscard]] static ResultStore load_csv(std::istream& in);
 
   /// Versioned binary format: "MPRS" magic, a schema byte (2), little-
@@ -201,8 +211,9 @@ class ResultStore {
   void save_binary(std::ostream& out) const;
   /// Parses save_binary() output. Schema-1 files (no attack dimension)
   /// load as a single EquallySpecific plane. Throws std::runtime_error on
-  /// a bad magic, an unknown schema byte, a truncated plane, an unknown
-  /// attack-type byte, or a nibble that is not a valid outcome.
+  /// a bad magic, an unknown schema byte, dims beyond kMaxSites /
+  /// kMaxPerspectives, a truncated plane, an unknown attack-type byte, or
+  /// a nibble that is not a valid outcome.
   [[nodiscard]] static ResultStore load_binary(std::istream& in);
 
  private:

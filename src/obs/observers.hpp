@@ -4,8 +4,8 @@
 //
 // The pure-observer contract, for every member: the default (null/off)
 // costs nothing, and on, off or degraded (profiler or perf counters
-// unavailable, telemetry port taken) leaves ResultStore bytes and the
-// other observers' deterministic output unchanged (campaign_*_test).
+// unavailable) leaves ResultStore bytes and the other observers'
+// deterministic output unchanged (campaign_*_test).
 // Nothing observed feeds back into a simulation decision.
 //
 // The campaign reads all six members; the Orchestrator metrics, recorder

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
-#include <limits>
 #include <string_view>
 #include <utility>
 
@@ -29,21 +28,18 @@ constexpr Flag kFlags[] = {
     {kVerboseFlag, "--verbose", ""},
     {kProfileFlag, "--profile", "[=hz]"},
     {kTelemetryOutFlag, "--telemetry-out", " <dir|file>"},
-    {kServeMetricsFlag, "--serve-metrics", " <port>"},
     {kTickMsFlag, "--tick-ms", " <n>"},
 };
 
-/// `text` as one whole decimal token in [lo, hi]; else sets `error`.
-int whole_number(std::string_view name, std::string_view text, int lo,
-                 int hi, std::string& error) {
+/// `text` as one whole positive decimal int token; else sets `error`.
+int positive_number(std::string_view name, std::string_view text,
+                    std::string& error) {
   int n = 0;
   const char* end = text.data() + text.size();
   const auto [stop, ec] = std::from_chars(text.data(), end, n);
-  if (ec != std::errc() || stop != end || n < lo || n > hi) {
+  if (ec != std::errc() || stop != end || n < 1) {
     error = "bad " + std::string(name) + " '" + std::string(text) +
-            "' (want " +
-            (lo == 0 ? "0.." + std::to_string(hi) : "a positive integer") +
-            ")";
+            "' (want a positive integer)";
   }
   return n;
 }
@@ -52,7 +48,6 @@ int whole_number(std::string_view name, std::string_view text, int lo,
 
 SessionArgs parse_session_args(int argc, const char* const* argv,
                                unsigned accepted) {
-  constexpr int kMax = std::numeric_limits<int>::max();
   SessionArgs out;
   SessionOptions& o = out.options;
   for (int i = 1; i < argc && out.error.empty(); ++i) {
@@ -87,16 +82,13 @@ SessionArgs parse_session_args(int argc, const char* const* argv,
       case kProgressFlag: o.progress = true; break;
       case kVerboseFlag: o.verbose = true; break;
       case kProfileFlag:
-        o.profile_hz = rate ? static_cast<std::uint32_t>(whole_number(
-                                  name, value, 1, kMax, out.error))
+        o.profile_hz = rate ? static_cast<std::uint32_t>(
+                                  positive_number(name, value, out.error))
                             : kDefaultProfileHz;
         break;
       case kTelemetryOutFlag: o.telemetry_out = value; break;
-      case kServeMetricsFlag:
-        o.serve_port = whole_number(name, value, 0, 65535, out.error);
-        break;
       case kTickMsFlag:
-        o.tick_ms = whole_number(name, value, 1, kMax, out.error);
+        o.tick_ms = positive_number(name, value, out.error);
         break;
       default: break;
     }
@@ -128,22 +120,13 @@ std::unique_ptr<SamplingProfiler> make_profiler(
 std::unique_ptr<TelemetryHub> start_telemetry(const SessionOptions& options,
                                               MetricsRegistry* metrics,
                                               const FlightRecorder* recorder) {
-  if (options.telemetry_out.empty() && options.serve_port < 0) return nullptr;
+  if (options.telemetry_out.empty()) return nullptr;
   auto hub = std::make_unique<TelemetryHub>(
       TelemetryConfig{.tick_ms = options.tick_ms,
                       .timeseries_path = options.telemetry_out,
-                      .serve_port = options.serve_port,
                       .metrics = metrics,
                       .recorder = recorder});
   hub->start();
-  if (options.serve_port < 0) return hub;
-  if (hub->serving()) {
-    std::fprintf(stderr, "telemetry: serving http://127.0.0.1:%d\n",
-                 hub->port());
-  } else {
-    std::fprintf(stderr, "telemetry: endpoint unavailable (%s)\n",
-                 hub->serve_reason().c_str());
-  }
   return hub;
 }
 

@@ -1,8 +1,8 @@
 // obs::Session: the observers one CLI run attaches, built from the shared
 // observer flags. A binary accepts a constant subset of the flags and
-// parses what parse_session_args leaves over itself. A profiler or
-// endpoint that cannot start degrades and says why on stderr (the
-// pure-observer contract, observers.hpp).
+// parses what parse_session_args leaves over itself. A profiler that
+// cannot start degrades and says why on stderr (the pure-observer
+// contract, observers.hpp).
 #pragma once
 
 #include <cstdint>
@@ -28,12 +28,9 @@ enum SessionFlag : unsigned {
   /// --telemetry-out <dir|file>: a telemetry hub appending
   /// timeseries.ndjson (give the --trace-out dir for one bundle).
   kTelemetryOutFlag = 1u << 5,
-  /// --serve-metrics <port>: the hub serves /metrics, /healthz and
-  /// /snapshot.json on 127.0.0.1 (port 0 = kernel-assigned).
-  kServeMetricsFlag = 1u << 6,
-  kTickMsFlag = 1u << 7,  ///< --tick-ms <n>: hub period (default 1000).
-  kTelemetryFlags = kTelemetryOutFlag | kServeMetricsFlag | kTickMsFlag,
-  kAllSessionFlags = (1u << 8) - 1,
+  kTickMsFlag = 1u << 6,  ///< --tick-ms <n>: hub period (default 1000).
+  kTelemetryFlags = kTelemetryOutFlag | kTickMsFlag,
+  kAllSessionFlags = (1u << 7) - 1,
 };
 
 struct SessionOptions {
@@ -43,16 +40,15 @@ struct SessionOptions {
   bool verbose = false;
   std::uint32_t profile_hz = 0;  ///< Sampling rate; 0 = no profiler.
   std::string telemetry_out;
-  int serve_port = -1;  ///< < 0 = no endpoint.
   int tick_ms = 1000;
 };
 
 struct SessionArgs {
   SessionOptions options;
   std::vector<std::string> rest;  ///< The other arguments, in order.
-  /// Set for a flag outside `accepted`, a missing value, or a number that
-  /// is not one whole decimal token in range (port 0..65535, positive
-  /// rate and tick). The caller prints it with its usage and exits 2.
+  /// Set for a flag outside `accepted`, a missing value, or a rate or
+  /// tick that is not one whole positive decimal token. The caller
+  /// prints it with its usage and exits 2.
   std::string error;
 };
 
@@ -68,9 +64,8 @@ struct SessionArgs {
 [[nodiscard]] std::unique_ptr<SamplingProfiler> make_profiler(
     const SessionOptions& options);
 
-/// The started hub --telemetry-out/--serve-metrics ask for, or null,
-/// scraping `metrics` and `recorder` (either may be null). Echoes the
-/// served URL or why the endpoint is unavailable.
+/// The started hub --telemetry-out asks for, or null, scraping `metrics`
+/// and `recorder` (either may be null).
 [[nodiscard]] std::unique_ptr<TelemetryHub> start_telemetry(
     const SessionOptions& options, MetricsRegistry* metrics,
     const FlightRecorder* recorder);

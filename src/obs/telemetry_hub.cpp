@@ -10,8 +10,6 @@
 #include "obs/json.hpp"
 #include "obs/log.hpp"
 #include "obs/mem_stats.hpp"
-#include "obs/telemetry_server.hpp"
-#include "obs/trace_export.hpp"
 
 namespace marcopolo::obs {
 
@@ -106,10 +104,6 @@ void TelemetryHub::start() {
         std::fflush(timeseries_);
       }
     }
-    if (config_.serve_port >= 0) {
-      server_ = std::make_unique<TelemetryServer>();
-      server_->start(config_.serve_port);  // failure = degraded, not fatal
-    }
     // Created under the lock (the thread's first step is to take it), so
     // a racing stop() always sees a joinable sampler.
     sampler_ = std::thread([this] { sampler_loop(); });
@@ -133,7 +127,6 @@ void TelemetryHub::stop() {
     }
     started_ = false;
   }
-  if (server_ != nullptr) server_->stop();
 }
 
 void TelemetryHub::sampler_loop() {
@@ -187,20 +180,6 @@ void TelemetryHub::tick_now() {
 TelemetrySnapshot TelemetryHub::latest() const {
   std::scoped_lock lock(latest_mutex_);
   return latest_;
-}
-
-bool TelemetryHub::serving() const {
-  return server_ != nullptr && server_->available();
-}
-
-int TelemetryHub::port() const {
-  return server_ != nullptr ? server_->port() : -1;
-}
-
-std::string TelemetryHub::serve_reason() const {
-  if (config_.serve_port < 0) return "not configured";
-  if (server_ == nullptr) return "not started";
-  return server_->unavailable_reason();
 }
 
 void TelemetryHub::tick_locked(bool final_tick) {
@@ -265,7 +244,7 @@ void TelemetryHub::tick_locked(bool final_tick) {
   snap.peak_rss_kb = mem.peak_rss_kb;
 
   // Full registry scrape: hot phase from ns-histogram deltas, counters
-  // embedded in the tick line and served as /metrics.
+  // embedded in the tick line.
   MetricsSnapshot counters;
   bool have_counters = false;
   if (config_.metrics != nullptr) {
@@ -329,24 +308,6 @@ void TelemetryHub::tick_locked(bool final_tick) {
 
   write_tick_line(snap, have_counters ? &counters : nullptr);
 
-  if (server_ != nullptr && server_->available()) {
-    auto payload = std::make_shared<TelemetryPayload>();
-    if (have_counters) {
-      std::ostringstream prom;
-      write_prometheus_text(prom, counters);
-      payload->prometheus = prom.str();
-    }
-    payload->snapshot_json = "{";
-    {
-      // Same fields as the tick line minus the "type" tag.
-      std::string body;
-      append_tick_fields(&body, snap, have_counters ? &counters : nullptr);
-      payload->snapshot_json += body;
-    }
-    payload->snapshot_json += "}";
-    server_->publish(std::move(payload));
-  }
-
   {
     std::scoped_lock latest(latest_mutex_);
     latest_ = snap;
@@ -357,60 +318,48 @@ void TelemetryHub::tick_locked(bool final_tick) {
   prev_instructions_ = snap.instructions;
 }
 
-void TelemetryHub::append_tick_fields(std::string* out,
-                                      const TelemetrySnapshot& snap,
-                                      const MetricsSnapshot* counters) {
-  char head[160];
-  std::snprintf(head, sizeof head,
-                "\"tick\":%" PRIu64 ",\"t_ns\":%" PRIu64, snap.tick,
-                snap.t_ns);
-  out->append(head);
-  append_u64_field(out, "tasks_done", snap.tasks_done);
-  append_u64_field(out, "tasks_total", snap.tasks_total);
-  out->append(",\"tasks_per_s\":");
-  append_double(out, snap.tasks_per_s);
-  append_u64_field(out, "workers_live",
-                   static_cast<std::uint64_t>(snap.workers_live));
-  append_u64_field(out, "stalls", snap.stalls);
-  append_u64_field(out, "verdicts", snap.verdicts);
-  append_u64_field(out, "adversary_verdicts", snap.adversary_verdicts);
-  append_u64_field(out, "instructions", snap.instructions);
-  out->append(",\"instructions_per_s\":");
-  append_double(out, snap.instructions_per_s);
-  if (snap.mem_valid) {
-    append_u64_field(out, "rss_kb", snap.rss_kb);
-    append_u64_field(out, "peak_rss_kb", snap.peak_rss_kb);
-  }
-  if (!snap.hot_phase.empty()) {
-    out->append(",\"hot_phase\":\"");
-    out->append(json_escape(snap.hot_phase));
-    out->append("\"");
-  }
-  if (snap.eta_s >= 0.0) {
-    out->append(",\"eta_s\":");
-    append_double(out, snap.eta_s);
-  }
-  if (snap.final_tick) out->append(",\"final\":true");
-  if (counters != nullptr) {
-    out->append(",\"counters\":{");
-    bool first = true;
-    for (const auto& [name, value] : counters->counters) {
-      if (!first) out->append(",");
-      first = false;
-      out->append("\"");
-      out->append(json_escape(name));
-      out->append("\":");
-      out->append(std::to_string(value));
-    }
-    out->append("}");
-  }
-}
-
 void TelemetryHub::write_tick_line(const TelemetrySnapshot& snap,
                                    const MetricsSnapshot* counters) {
   if (timeseries_ == nullptr) return;
-  std::string line = "{\"type\":\"tick\",";
-  append_tick_fields(&line, snap, counters);
+  char head[160];
+  std::snprintf(head, sizeof head,
+                "{\"type\":\"tick\",\"tick\":%" PRIu64 ",\"t_ns\":%" PRIu64,
+                snap.tick, snap.t_ns);
+  std::string line = head;
+  append_u64_field(&line, "tasks_done", snap.tasks_done);
+  append_u64_field(&line, "tasks_total", snap.tasks_total);
+  line += ",\"tasks_per_s\":";
+  append_double(&line, snap.tasks_per_s);
+  append_u64_field(&line, "workers_live",
+                   static_cast<std::uint64_t>(snap.workers_live));
+  append_u64_field(&line, "stalls", snap.stalls);
+  append_u64_field(&line, "verdicts", snap.verdicts);
+  append_u64_field(&line, "adversary_verdicts", snap.adversary_verdicts);
+  append_u64_field(&line, "instructions", snap.instructions);
+  line += ",\"instructions_per_s\":";
+  append_double(&line, snap.instructions_per_s);
+  if (snap.mem_valid) {
+    append_u64_field(&line, "rss_kb", snap.rss_kb);
+    append_u64_field(&line, "peak_rss_kb", snap.peak_rss_kb);
+  }
+  if (!snap.hot_phase.empty()) {
+    line += ",\"hot_phase\":\"" + json_escape(snap.hot_phase) + "\"";
+  }
+  if (snap.eta_s >= 0.0) {
+    line += ",\"eta_s\":";
+    append_double(&line, snap.eta_s);
+  }
+  if (snap.final_tick) line += ",\"final\":true";
+  if (counters != nullptr) {
+    line += ",\"counters\":{";
+    bool first = true;
+    for (const auto& [name, value] : counters->counters) {
+      if (!first) line += ",";
+      first = false;
+      line += "\"" + json_escape(name) + "\":" + std::to_string(value);
+    }
+    line += "}";
+  }
   line += "}\n";
   std::fputs(line.c_str(), timeseries_);
   // Flush per tick: a killed run keeps every completed tick (the

@@ -1,23 +1,19 @@
 // Live telemetry plane: a background sampler that turns the passive obs
 // layer (sharded MetricsRegistry, FlightRecorder live tallies, mem_stats)
-// into an in-flight time-series and a scrapeable snapshot.
+// into an in-flight time-series.
 //
 // Every artifact the obs layer produced before this existed — manifest,
 // trace bundle, folded profile — is written *after* the run ends. A
-// multi-hour sharded sweep or the long-running MPIC corroboration
-// service needs the opposite: "is it stalled, is it on pace, which phase
-// is hot" answered while the process runs. The hub is that answer:
+// long sweep needs the opposite: "is it stalled, is it on pace, which
+// phase is hot" answered while the process runs. The hub is that answer:
 //
 //   - A sampler thread ticks on a configurable period (default 1s).
 //     Each tick scrapes the metrics registry, the recorder's live
 //     verdict/instruction tallies, per-worker completion slots, and
-//     VmRSS/VmHWM, derives rates from the previous tick, and
-//     (a) appends one schema-versioned NDJSON record to
-//         `timeseries.ndjson` (crash-safe: append + flush per tick, so a
-//         killed run keeps every completed tick), and
-//     (b) publishes the snapshot to the optional TelemetryServer
-//         (`/metrics` Prometheus text, `/healthz`, `/snapshot.json` on
-//         localhost).
+//     VmRSS/VmHWM, derives rates from the previous tick, and appends
+//     one schema-versioned NDJSON record to `timeseries.ndjson`
+//     (crash-safe: append + flush per tick, so a killed run keeps every
+//     completed tick). `mpinspect watch` follows that file live.
 //   - A stall watchdog rides the same tick: when zero tasks complete for
 //     `stall_ticks` consecutive ticks while workers are live, it logs a
 //     Warn line with per-worker last-completed-task ages and raises a
@@ -26,9 +22,9 @@
 //
 // Contract, same as the recorder/profiler/hw-counter layers: the hub is
 // a pure observer and null by default. Pipelines carry a `TelemetryHub*`
-// defaulting to nullptr; hub on, off, or degraded (port in use) leaves
-// ResultStore, manifest, and journal bytes identical. Worker-side cost
-// is two relaxed atomic stores per completed task.
+// defaulting to nullptr; hub on or off leaves ResultStore, manifest, and
+// journal bytes identical. Worker-side cost is two relaxed atomic stores
+// per completed task.
 //
 // NDJSON schema (timeseries_schema 1, journal-style evolution policy:
 // unknown types skipped, unknown fields ignored, missing fields default):
@@ -59,7 +55,6 @@
 namespace marcopolo::obs {
 
 class FlightRecorder;
-class TelemetryServer;
 
 /// Per-worker completion slot. Workers stamp it through
 /// TelemetryHub::note_task_done(); the sampler thread reads it each tick
@@ -77,14 +72,12 @@ struct TelemetryConfig {
   /// the file is created inside it) or a path ending in ".ndjson".
   /// Empty = no time-series file.
   std::string timeseries_path;
-  int serve_port = -1;         ///< <0 = no server, 0 = ephemeral port.
   int stall_ticks = 5;         ///< Zero-progress ticks before a warning.
   MetricsRegistry* metrics = nullptr;     ///< Scraped per tick (optional).
   const FlightRecorder* recorder = nullptr;  ///< Live tallies (optional).
 };
 
-/// One tick's derived state; latest() returns a copy for tests and the
-/// `/snapshot.json` endpoint.
+/// One tick's derived state; latest() returns a copy for tests.
 struct TelemetrySnapshot {
   std::uint64_t tick = 0;
   std::uint64_t t_ns = 0;        ///< Nanoseconds since hub start.
@@ -112,14 +105,13 @@ class TelemetryHub {
   TelemetryHub(const TelemetryHub&) = delete;
   TelemetryHub& operator=(const TelemetryHub&) = delete;
 
-  /// Open the time-series file (writing the meta record), bind the
-  /// server when configured, and start the sampler thread. A port that
-  /// cannot be bound degrades the server to unavailable (serving() false,
-  /// serve_reason() says why) without failing the run. Idempotent.
+  /// Open the time-series file (writing the meta record) and start the
+  /// sampler thread. A file that cannot be opened is logged, and the
+  /// hub still ticks. Idempotent.
   void start();
 
-  /// Emit one last tick (marked "final":true), join the sampler, stop
-  /// the server, close the file. Idempotent; also run by the destructor.
+  /// Emit one last tick (marked "final":true), join the sampler, close
+  /// the file. Idempotent; also run by the destructor.
   void stop();
 
   /// Rebind the scraped registry mid-run (the bench harness builds a
@@ -152,12 +144,6 @@ class TelemetryHub {
     return stalls_.load(std::memory_order_relaxed);
   }
 
-  /// Server state echo (PR 7 "unavailable (reason)" style).
-  [[nodiscard]] bool serving() const;
-  /// Bound port (meaningful when serving(); resolves port 0 requests).
-  [[nodiscard]] int port() const;
-  [[nodiscard]] std::string serve_reason() const;
-
   /// Resolve a timeseries_path the way the hub does: a path ending in
   /// ".ndjson" is used as-is, anything else is treated as a bundle
   /// directory and gets "/timeseries.ndjson" appended.
@@ -167,9 +153,6 @@ class TelemetryHub {
  private:
   void sampler_loop();
   void tick_locked(bool final_tick);
-  static void append_tick_fields(std::string* out,
-                                 const TelemetrySnapshot& snap,
-                                 const MetricsSnapshot* counters);
   void write_tick_line(const TelemetrySnapshot& snap,
                        const MetricsSnapshot* counters);
 
@@ -182,7 +165,6 @@ class TelemetryHub {
   bool stop_requested_ = false;
 
   std::FILE* timeseries_ = nullptr;
-  std::unique_ptr<TelemetryServer> server_;
 
   std::chrono::steady_clock::time_point start_time_{};
   std::uint64_t next_tick_ = 0;

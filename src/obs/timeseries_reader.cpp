@@ -2,7 +2,6 @@
 
 #include <fstream>
 #include <istream>
-#include <sstream>
 
 #include "obs/json.hpp"
 
@@ -31,7 +30,8 @@ void decode_meta(const json::Value& value, std::size_t line,
   out->start_ns = value.u64_or("start_ns", 0);
 }
 
-TimeseriesTick fill_tick(const json::Value& value) {
+void decode_tick(const json::Value& value, std::size_t line,
+                 ReadTimeseries* out) {
   TimeseriesTick tick;
   tick.tick = value.u64_or("tick", 0);
   tick.t_ns = value.u64_or("t_ns", 0);
@@ -62,12 +62,6 @@ TimeseriesTick fill_tick(const json::Value& value) {
       tick.counters.emplace_back(name, v.is_number() ? v.u64() : 0);
     }
   }
-  return tick;
-}
-
-void decode_tick(const json::Value& value, std::size_t line,
-                 ReadTimeseries* out) {
-  TimeseriesTick tick = fill_tick(value);
 
   // Tick ids must strictly increase — the invariant check_trace_bundle
   // leans on to reject tampered or interleaved-writer files.
@@ -133,24 +127,6 @@ ReadTimeseries TimeseriesReader::read_file(const std::string& path) {
     return out;
   }
   return read(in);
-}
-
-bool TimeseriesReader::parse_snapshot(const std::string& text,
-                                      TimeseriesTick* out,
-                                      std::string* error) {
-  json::Value value;
-  try {
-    value = json::parse(text);
-  } catch (const json::ParseError& err) {
-    if (error != nullptr) *error = err.what();
-    return false;
-  }
-  if (!value.is_object()) {
-    if (error != nullptr) *error = "snapshot is not a JSON object";
-    return false;
-  }
-  *out = fill_tick(value);
-  return true;
 }
 
 }  // namespace marcopolo::obs

@@ -85,13 +85,6 @@ class TimeseriesReader {
   /// read() on the file's contents; an unopenable path is reported as an
   /// error on line 0.
   [[nodiscard]] static ReadTimeseries read_file(const std::string& path);
-  /// Decode one bare tick object — the shape /snapshot.json serves (a
-  /// tick record without the "type" tag). Returns false with *error set
-  /// on malformed input; "{}" (no tick published yet) decodes to a
-  /// default tick.
-  [[nodiscard]] static bool parse_snapshot(const std::string& text,
-                                           TimeseriesTick* out,
-                                           std::string* error);
 };
 
 }  // namespace marcopolo::obs

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <span>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace marcopolo::core {
@@ -586,6 +589,48 @@ TEST(ResultStore, BinaryRejectsBadAttackMetadata) {
   std::stringstream unknown_in(unknown);
   EXPECT_THROW((void)ResultStore::load_binary(unknown_in),
                std::runtime_error);
+}
+
+TEST(ResultStore, ReadersRejectDimsAndIndicesBeyondSixteenBits) {
+  // Before the bounds, the first input wrapped sites^2 to 0 cells and its
+  // row wrote through a null plane, the second loaded as empty planes
+  // that the next hijacked_count read past, and the third recorded its
+  // row as victim 1.
+  const std::string csv_head =
+      "# schema=2\n# attack_types=equally-specific\n";
+  const std::string csv_columns =
+      "victim,adversary,perspective,attack,outcome\n";
+  std::string mprs = {'M', 'P', 'R', 'S', 2, 0, 0, 0};
+  for (const std::uint32_t dim : {1u << 27, 1u << 16, 1u}) {
+    for (int shift = 0; shift < 32; shift += 8) {
+      mprs.push_back(static_cast<char>((dim >> shift) & 0xff));
+    }
+  }
+  mprs.push_back(0);  // one EquallySpecific plane
+  const struct {
+    const char* name;
+    std::string bytes;
+    ResultStore (*load)(std::istream&);
+  } cases[] = {
+      {"csv with 2^32 sites",
+       csv_head + "sites,4294967296,perspectives,1,attacks,1\n" +
+           csv_columns + "0,1,0,0,2\n",
+       &ResultStore::load_csv},
+      {"binary with 2^27 sites and 2^16 perspectives", mprs,
+       &ResultStore::load_binary},
+      {"csv row with victim 65537 under 2 sites",
+       csv_head + "sites,2,perspectives,1,attacks,1\n" + csv_columns +
+           "65537,0,0,0,2\n",
+       &ResultStore::load_csv},
+  };
+  for (const auto& c : cases) {
+    std::istringstream in(c.bytes);
+    EXPECT_THROW((void)c.load(in), std::runtime_error) << c.name;
+  }
+  EXPECT_THROW(ResultStore(ResultStore::kMaxSites + 1, 0),
+               std::invalid_argument);
+  EXPECT_THROW(ResultStore(1, ResultStore::kMaxPerspectives + 1),
+               std::invalid_argument);
 }
 
 TEST(ResultStore, RecordUnsynchronizedMatchesRecord) {

@@ -237,6 +237,36 @@ TEST(PrometheusText, CumulativeBucketsAndSanitizedNames) {
   EXPECT_NE(text.find("marcopolo_campaign_task_ns_sum 6"), std::string::npos);
   EXPECT_NE(text.find("marcopolo_campaign_task_ns_count 3"),
             std::string::npos);
+
+  // Valid Prometheus text exposition: every non-empty line is a comment
+  // or `name[{labels}] value`, and each sample name was declared by a
+  // preceding # TYPE line.
+  std::istringstream lines(text);
+  std::string line;
+  std::vector<std::string> typed;
+  std::size_t samples = 0;
+  while (std::getline(lines, line)) {
+    if (line.empty()) continue;
+    if (line.rfind("# TYPE ", 0) == 0) {
+      const std::string rest = line.substr(7);
+      typed.push_back(rest.substr(0, rest.find(' ')));
+      continue;
+    }
+    if (line[0] == '#') continue;
+    const auto space = line.rfind(' ');
+    ASSERT_NE(space, std::string::npos) << "bad sample line: " << line;
+    std::string name = line.substr(0, space);
+    if (const auto brace = name.find('{'); brace != std::string::npos) {
+      name = name.substr(0, brace);
+    }
+    bool declared = false;
+    for (const std::string& t : typed) {
+      declared = declared || name.rfind(t, 0) == 0;
+    }
+    EXPECT_TRUE(declared) << "sample without # TYPE: " << line;
+    ++samples;
+  }
+  EXPECT_GT(samples, 0u);
 }
 
 TEST(TraceDir, WritesAllThreeFiles) {

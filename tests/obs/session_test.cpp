@@ -1,7 +1,7 @@
 // obs::parse_session_args: every accepted form of the shared observer
 // flags parses, and every malformed value is an error (the binaries print
 // it with their usage and exit 2) instead of a silently different run —
-// a wrapped port, a kernel-assigned port for "abc", a truncated rate.
+// a truncated rate, a tick of "20ms".
 #include "obs/session.hpp"
 
 #include <gtest/gtest.h>
@@ -23,7 +23,7 @@ SessionArgs parse(const std::vector<std::string>& args,
 
 auto fields(const SessionOptions& o) {
   return std::tie(o.metrics_out, o.trace_out, o.progress, o.verbose,
-                  o.profile_hz, o.telemetry_out, o.serve_port, o.tick_ms);
+                  o.profile_hz, o.telemetry_out, o.tick_ms);
 }
 
 TEST(SessionArgs, ParsesEveryValidForm) {
@@ -48,10 +48,6 @@ TEST(SessionArgs, ParsesEveryValidForm) {
       {{"--profile=250"}, with([](SessionOptions& o) { o.profile_hz = 250; })},
       {{"--telemetry-out", "ts.ndjson"},
        with([](SessionOptions& o) { o.telemetry_out = "ts.ndjson"; })},
-      {{"--serve-metrics", "0"},
-       with([](SessionOptions& o) { o.serve_port = 0; })},
-      {{"--serve-metrics", "65535"},
-       with([](SessionOptions& o) { o.serve_port = 65535; })},
       {{"--tick-ms", "20"}, with([](SessionOptions& o) { o.tick_ms = 20; })},
   };
   for (const auto& c : cases) {
@@ -79,18 +75,16 @@ TEST(SessionArgs, RejectsMalformedAndUnacceptedFlags) {
     unsigned accepted;
     const char* flag;  ///< The error must name it.
   } cases[] = {
-      {{"--serve-metrics", "70000"}, kAllSessionFlags, "--serve-metrics"},
-      {{"--serve-metrics", "abc"}, kAllSessionFlags, "--serve-metrics"},
-      {{"--serve-metrics", "-7"}, kAllSessionFlags, "--serve-metrics"},
-      {{"--serve-metrics", "80 "}, kAllSessionFlags, "--serve-metrics"},
       {{"--profile=5x"}, kAllSessionFlags, "--profile"},
       {{"--profile=0"}, kAllSessionFlags, "--profile"},
       {{"--profile="}, kAllSessionFlags, "--profile"},
       {{"--tick-ms", "20ms"}, kAllSessionFlags, "--tick-ms"},
       {{"--tick-ms", "0"}, kAllSessionFlags, "--tick-ms"},
       {{"--tick-ms", "-5"}, kAllSessionFlags, "--tick-ms"},
+      {{"--tick-ms", "5 "}, kAllSessionFlags, "--tick-ms"},
+      {{"--tick-ms", "99999999999"}, kAllSessionFlags, "--tick-ms"},
       {{"--trace-out"}, kAllSessionFlags, "--trace-out"},
-      {{"--serve-metrics"}, kAllSessionFlags, "--serve-metrics"},
+      {{"--tick-ms"}, kAllSessionFlags, "--tick-ms"},
       {{"--metrics-out", "m.json"}, kTraceOutFlag | kProfileFlag,
        "--metrics-out"},
       {{"--progress"}, kAllSessionFlags & ~kProgressFlag, "--progress"},
@@ -110,7 +104,7 @@ TEST(SessionArgs, UsageListsOnlyAcceptedFlags) {
   const std::string all = session_usage(kAllSessionFlags);
   for (const char* flag :
        {"--metrics-out", "--trace-out", "--progress", "--verbose",
-        "--profile", "--telemetry-out", "--serve-metrics", "--tick-ms"}) {
+        "--profile", "--telemetry-out", "--tick-ms"}) {
     EXPECT_NE(all.find(flag), std::string::npos) << flag;
   }
 }

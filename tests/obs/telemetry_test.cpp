@@ -1,6 +1,5 @@
 // The live telemetry plane: hub ticks, the stall watchdog's exact
-// firing boundary, the localhost endpoint (and its degradation when the
-// port is taken), the timeseries reader's tamper detection, and the
+// firing boundary, the timeseries reader's tamper detection, and the
 // LineGuard that keeps ProgressReporter and Logger from shredding each
 // other's stderr lines.
 #include "obs/telemetry_hub.hpp"
@@ -13,11 +12,9 @@
 #include <sstream>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/telemetry_server.hpp"
 #include "obs/timeseries_reader.hpp"
 
 namespace marcopolo::obs {
@@ -128,121 +125,6 @@ TEST_F(TelemetryTest, NoStallWhileNoWorkersAreLive) {
   TelemetryHub hub(cfg);
   for (int i = 0; i < 4; ++i) hub.tick_now();  // idle, zero workers
   EXPECT_EQ(hub.stalls(), 0u);
-}
-
-TEST_F(TelemetryTest, MetricsEndpointAgreesWithRegistrySnapshot) {
-  MetricsRegistry registry;
-  registry.counter("campaign.tasks_executed").add(42);
-  registry.counter("propagation.runs").add(5);
-  registry.histogram("campaign.phase.propagate_ns").observe(1024);
-
-  TelemetryConfig cfg;
-  cfg.serve_port = 0;  // kernel-assigned
-  cfg.metrics = &registry;
-  TelemetryHub hub(cfg);
-  hub.start();
-  if (!hub.serving()) {
-    GTEST_SKIP() << "no loopback socket here: " << hub.serve_reason();
-  }
-  hub.tick_now();  // publish a payload
-
-  int status = 0;
-  std::string body;
-  std::string error;
-  ASSERT_TRUE(
-      http_get_localhost(hub.port(), "/healthz", &status, &body, &error))
-      << error;
-  EXPECT_EQ(status, 200);
-  EXPECT_EQ(body, "ok\n");
-
-  ASSERT_TRUE(
-      http_get_localhost(hub.port(), "/metrics", &status, &body, &error))
-      << error;
-  EXPECT_EQ(status, 200);
-
-  // Valid Prometheus text exposition: every non-empty line is a comment
-  // or `name[{labels}] value`, and each sample name was declared by a
-  // preceding # TYPE line.
-  std::istringstream lines(body);
-  std::string line;
-  std::vector<std::string> typed;
-  std::size_t samples = 0;
-  while (std::getline(lines, line)) {
-    if (line.empty()) continue;
-    if (line.rfind("# TYPE ", 0) == 0) {
-      const std::string rest = line.substr(7);
-      typed.push_back(rest.substr(0, rest.find(' ')));
-      continue;
-    }
-    if (line[0] == '#') continue;
-    const auto space = line.rfind(' ');
-    ASSERT_NE(space, std::string::npos) << "bad sample line: " << line;
-    std::string name = line.substr(0, space);
-    if (const auto brace = name.find('{'); brace != std::string::npos) {
-      name = name.substr(0, brace);
-    }
-    bool declared = false;
-    for (const std::string& t : typed) {
-      declared = declared || name.rfind(t, 0) == 0;
-    }
-    EXPECT_TRUE(declared) << "sample without # TYPE: " << line;
-    ++samples;
-  }
-  EXPECT_GT(samples, 0u);
-
-  // And the values agree with a direct registry scrape.
-  const MetricsSnapshot snap = registry.snapshot();
-  EXPECT_NE(body.find("marcopolo_campaign_tasks_executed " +
-                      std::to_string(snap.counter("campaign.tasks_executed"))),
-            std::string::npos);
-  EXPECT_NE(body.find("marcopolo_propagation_runs " +
-                      std::to_string(snap.counter("propagation.runs"))),
-            std::string::npos);
-  EXPECT_NE(body.find("marcopolo_campaign_phase_propagate_ns_count 1"),
-            std::string::npos);
-
-  // /snapshot.json is one bare tick object.
-  ASSERT_TRUE(http_get_localhost(hub.port(), "/snapshot.json", &status,
-                                 &body, &error))
-      << error;
-  EXPECT_EQ(status, 200);
-  TimeseriesTick tick;
-  ASSERT_TRUE(TimeseriesReader::parse_snapshot(body, &tick, &error)) << error;
-
-  ASSERT_TRUE(
-      http_get_localhost(hub.port(), "/nope", &status, &body, &error))
-      << error;
-  EXPECT_EQ(status, 404);
-  hub.stop();
-}
-
-TEST_F(TelemetryTest, PortInUseDegradesToUnavailableWithReason) {
-  TelemetryServer first;
-  if (!first.start(0)) {
-    GTEST_SKIP() << "no loopback socket here: " << first.unavailable_reason();
-  }
-
-  TelemetryConfig cfg;
-  cfg.serve_port = first.port();  // guaranteed taken
-  cfg.timeseries_path = dir_;
-  cfg.metrics = nullptr;
-  TelemetryHub hub(cfg);
-  hub.start();
-  EXPECT_FALSE(hub.serving());
-  EXPECT_FALSE(hub.serve_reason().empty());
-  EXPECT_NE(hub.serve_reason().find(std::to_string(first.port())),
-            std::string::npos)
-      << "reason should name the contested endpoint: " << hub.serve_reason();
-
-  // Degraded serving must not degrade the rest of the hub: ticks still
-  // land in the time-series file.
-  hub.tick_now();
-  hub.stop();
-  const ReadTimeseries read = TimeseriesReader::read_file(
-      TelemetryHub::resolve_timeseries_path(dir_));
-  EXPECT_TRUE(read.ok());
-  EXPECT_GE(read.ticks.size(), 1u);
-  first.stop();
 }
 
 TEST(TimeseriesReaderTest, RejectsNonMonotoneTickIdsWithLineNumbers) {

@@ -39,20 +39,22 @@
 //       tick-id monotonicity plus final-tick-vs-manifest counter
 //       agreement. Exits 1 on any problem — this is the CI smoke check.
 //
-//   mpinspect watch <url | dir | file.ndjson> [--interval-ms <n>] [--once]
-//       Live view of a running campaign: polls /snapshot.json on a
-//       telemetry endpoint (`http://127.0.0.1:<port>`, started with
-//       --serve-metrics) or re-reads a growing timeseries.ndjson, and
-//       redraws one status line per tick: tasks done/total, tasks/s,
-//       ETA, instructions/s, RSS, live workers, stalls, hot phase.
-//       Exits 0 when the run ends (endpoint goes away / final tick
-//       lands), 1 if the target never becomes reachable. --once renders
-//       the current snapshot and exits immediately.
+//   mpinspect watch <dir | file.ndjson> [--interval-ms <n>] [--once]
+//       Live view of a running campaign: re-reads the timeseries.ndjson
+//       its --telemetry-out is growing and redraws one status line per
+//       tick: tasks done/total, tasks/s, ETA, instructions/s, RSS, live
+//       workers, stalls, hot phase. A target not ending in ".ndjson" is
+//       a bundle dir, as for the writer; it may not exist yet. Only
+//       complete lines are parsed, so a tick still being appended waits
+//       for the next poll. Exits 0 when the final tick lands, 1 on a
+//       malformed file or if the file never appears. --once renders the
+//       current last tick and exits immediately.
 //
 //   mpinspect tail <dir | file.ndjson> [--last <N>]
 //       Table of the last N ticks (default 10) of a recorded
 //       time-series, plus the meta header. Line-numbered errors (a
-//       tampered or non-monotone file fails here) exit 1.
+//       tampered or non-monotone file, or a torn last line, fails here)
+//       exit 1.
 //
 //   mpinspect matrix <matrix.json> [--json]
 //       Render an attack x defense resilience matrix produced by
@@ -69,6 +71,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -82,7 +86,7 @@
 #include "obs/log.hpp"
 #include "obs/manifest_reader.hpp"
 #include "obs/run_compare.hpp"
-#include "obs/telemetry_server.hpp"
+#include "obs/telemetry_hub.hpp"
 #include "obs/timeseries_reader.hpp"
 
 using namespace marcopolo;
@@ -100,7 +104,7 @@ int usage() {
       " [--max-regress-pct <P>]\n"
       "            [--counter-max-regress-pct <P>] [--json]\n"
       "  mpinspect check <trace-dir> [--manifest <run.json>]\n"
-      "  mpinspect watch <url | dir | file.ndjson>"
+      "  mpinspect watch <dir | file.ndjson>"
       " [--interval-ms <n>] [--once]\n"
       "  mpinspect tail <dir | file.ndjson> [--last <N>]\n"
       "  mpinspect matrix <matrix.json> [--json]\n");
@@ -1035,29 +1039,14 @@ std::string render_tick(const obs::TimeseriesTick& tick) {
   return line;
 }
 
-/// Accepts `http://127.0.0.1:<port>[/...]`, `localhost:<port>`, or a
-/// bare port; rejects non-local hosts (the endpoint only binds
-/// loopback).
-bool parse_watch_url(const std::string& url, int* port) {
-  std::string rest = url;
-  if (rest.rfind("http://", 0) == 0) rest = rest.substr(7);
-  if (const auto slash = rest.find('/'); slash != std::string::npos) {
-    rest = rest.substr(0, slash);
-  }
-  std::string port_text = rest;
-  if (const auto colon = rest.find(':'); colon != std::string::npos) {
-    const std::string host = rest.substr(0, colon);
-    if (host != "127.0.0.1" && host != "localhost") return false;
-    port_text = rest.substr(colon + 1);
-  }
-  if (port_text.empty() ||
-      port_text.find_first_not_of("0123456789") != std::string::npos) {
-    return false;
-  }
-  const long value = std::strtol(port_text.c_str(), nullptr, 10);
-  if (value <= 0 || value > 65535) return false;
-  *port = static_cast<int>(value);
-  return true;
+/// The ticks on the complete lines of a timeseries file that may still
+/// be growing: the writer appends a tick line by line, so text after the
+/// last '\n' is a tick in flight, left for the next poll.
+obs::ReadTimeseries read_complete_lines(std::istream& in) {
+  std::string text{std::istreambuf_iterator<char>(in), {}};
+  text.resize(text.rfind('\n') + 1);  // npos + 1 == 0: no complete line
+  std::istringstream lines(text);
+  return obs::TimeseriesReader::read(lines);
 }
 
 int cmd_watch(const std::vector<std::string>& args) {
@@ -1080,94 +1069,51 @@ int cmd_watch(const std::vector<std::string>& args) {
     }
   }
   if (target.empty()) return usage();
-
-  // Resolve the target: an endpoint URL, or a timeseries file / bundle
-  // dir (dir form appends the canonical file name).
-  int port = -1;
-  std::string path;
-  if (std::filesystem::is_directory(target)) {
-    path = (std::filesystem::path(target) / "timeseries.ndjson").string();
-  } else if (target.size() > 7 &&
-             target.compare(target.size() - 7, 7, ".ndjson") == 0) {
-    path = target;
-  } else if (!parse_watch_url(target, &port)) {
-    std::fprintf(stderr,
-                 "watch target is neither a local endpoint URL nor a "
-                 "timeseries dir/file: %s\n",
-                 target.c_str());
-    return 2;
-  }
+  const std::string path = obs::TelemetryHub::resolve_timeseries_path(target);
 
   obs::LineGuard guard(stdout);
   bool connected = false;
-  std::uint64_t last_rendered_tick = 0;
-  // Before the first contact, keep trying for a grace window (the
-  // watched process may still be binding its port / writing its meta
-  // line); after contact, a vanished target means the run ended.
+  std::optional<std::uint64_t> last_rendered_tick;
+  // Before the file first opens, keep trying for a grace window (the
+  // watched process may not have created it yet); after that, a file
+  // that cannot be opened is an error.
   int attempts_left = 20;
   for (;;) {
-    obs::TimeseriesTick tick;
-    bool have_tick = false;
-    std::string error;
-    if (port >= 0) {
-      int status = 0;
-      std::string body;
-      if (!obs::http_get_localhost(port, "/snapshot.json", &status, &body,
-                                   &error)) {
-        if (connected) {
-          guard.finish_live_line();
-          std::printf("[watch] endpoint gone (%s) — run finished\n",
-                      error.c_str());
-          return 0;
-        }
-      } else if (status != 200) {
-        error = "HTTP " + std::to_string(status);
-      } else if (!obs::TimeseriesReader::parse_snapshot(body, &tick, &error)) {
-        std::fprintf(stderr, "bad /snapshot.json: %s\n", error.c_str());
-        return 1;
-      } else {
-        have_tick = tick.t_ns != 0 || tick.tick != 0;
-        error.clear();
-        connected = true;
+    std::ifstream in(path, std::ios::binary);
+    if (in.is_open()) {
+      connected = true;
+    } else if (connected) {
+      guard.finish_live_line();
+      std::fprintf(stderr, "cannot open %s\n", path.c_str());
+      return 1;
+    }
+    // A stream that did not open reads as empty: no tick yet.
+    const obs::ReadTimeseries read = read_complete_lines(in);
+    if (!read.ok()) {
+      guard.finish_live_line();
+      for (const obs::TimeseriesIssue& issue : read.errors) {
+        std::fprintf(stderr, "%s line %zu: %s\n", path.c_str(), issue.line,
+                     issue.message.c_str());
       }
-    } else {
-      const obs::ReadTimeseries read =
-          obs::TimeseriesReader::read_file(path);
-      if (!read.ok()) {
-        if (connected || std::filesystem::exists(path)) {
-          guard.finish_live_line();
-          for (const obs::TimeseriesIssue& issue : read.errors) {
-            std::fprintf(stderr, "%s line %zu: %s\n", path.c_str(),
-                         issue.line, issue.message.c_str());
-          }
-          return 1;
-        }
-        error = "no " + path + " yet";
-      } else {
-        connected = true;
-        if (read.last_tick() != nullptr) {
-          tick = *read.last_tick();
-          have_tick = true;
-        }
-      }
+      return 1;
     }
 
-    if (have_tick && (tick.tick != last_rendered_tick || once)) {
-      last_rendered_tick = tick.tick;
-      guard.live_line(render_tick(tick), /*final=*/once || tick.final_tick);
-      if (tick.final_tick && !once) return 0;
+    const obs::TimeseriesTick* tick = read.last_tick();
+    if (tick != nullptr && (last_rendered_tick != tick->tick || once)) {
+      last_rendered_tick = tick->tick;
+      guard.live_line(render_tick(*tick), /*final=*/once || tick->final_tick);
+      if (tick->final_tick && !once) return 0;
     }
     if (once) {
-      if (!have_tick) {
-        std::fprintf(stderr, "no tick available%s%s\n",
-                     error.empty() ? "" : ": ", error.c_str());
+      if (tick == nullptr) {
+        std::fprintf(stderr, "no tick available in %s\n", path.c_str());
         return 1;
       }
       return 0;
     }
     if (!connected && --attempts_left <= 0) {
-      std::fprintf(stderr, "watch target never became reachable: %s\n",
-                   error.c_str());
+      std::fprintf(stderr, "watch target never became reachable: no %s\n",
+                   path.c_str());
       return 1;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
@@ -1192,10 +1138,7 @@ int cmd_tail(const std::vector<std::string>& args) {
     }
   }
   if (target.empty()) return usage();
-  std::string path = target;
-  if (std::filesystem::is_directory(target)) {
-    path = (std::filesystem::path(target) / "timeseries.ndjson").string();
-  }
+  const std::string path = obs::TelemetryHub::resolve_timeseries_path(target);
 
   const obs::ReadTimeseries read = obs::TimeseriesReader::read_file(path);
   for (const obs::TimeseriesIssue& issue : read.errors) {
