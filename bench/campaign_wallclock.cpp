@@ -6,8 +6,8 @@
 // the way: every thread count must produce a byte-identical ResultStore
 // pair, with metrics enabled. The JSON carries everything needed to
 // interpret a result file on its own: the source version (git describe),
-// hostname, hardware thread count, perf-counter availability, the exact
-// campaign config, and the full metrics snapshot of the serial run.
+// hostname, hardware thread count, the exact campaign config, and the
+// full metrics snapshot of the serial run.
 // Usage:
 //
 //   campaign_wallclock [--phases <csv>] [--attacks <csv|all>]
@@ -36,26 +36,18 @@
 // below a standalone campaign; the "per_attack_ratio_vs_scaled" field
 // states the measured ratio whenever the scaled group also ran.
 //
-// Every gated single-threaded phase runs under an obs::PhaseCounters
-// scope: its JSON row carries instructions/ipc/cache_miss_rate and
-// peak-RSS next to the wall-clock, giving `mpinspect diff` a
-// deterministic quantity to gate at 3% where wall-clock needs 25%. On
-// hosts that deny perf_event_open the top-level "perf_counters" field
-// says "unavailable" (with the errno in "perf_counters_reason") and the
-// phase rows simply omit counter fields.
+// Every gated single-threaded phase row carries the process peak RSS at
+// phase end and the RSS change across the phase next to the wall-clock
+// (obs/mem_stats.hpp); hosts without /proc omit both fields.
 //
-// The recording block alternates plain and recorded serial runs and
-// reports "recording_overhead": the best recorded run over the best
-// plain run, minus one (best of 3 each, on a ~0.12 s run), plus the
-// on/off byte-identity of the recorded runs. The ratio is informational:
-// `mpinspect diff` does not gate it, and it moves by tens of percent
-// between reps on a shared host. --profile and --telemetry-out ride
-// every recorded rep, so the ratio then prices them too; --profile adds
-// a top-level "profile" section (hot symbols, same schema as a run
-// manifest) that `mpinspect diff` uses for hot-symbol regression
-// attribution. With --trace-out the journal of a counter-enabled
-// recorded rep is exported as a trace bundle into <dir> (task spans
-// carry instructions/cycles args when the host has counters).
+// The recording block runs three recorded serial campaigns and checks
+// that each store is byte-identical to an unrecorded run (the
+// pure-observer invariant), reporting the journal's task-span and verdict
+// counts. --profile and --telemetry-out ride every recorded rep;
+// --profile adds a top-level "profile" section (hot symbols, same schema
+// as a run manifest) that `mpinspect diff` uses for hot-symbol
+// regression attribution. With --trace-out the journal of the last
+// recorded rep is exported as a trace bundle into <dir>.
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -77,7 +69,7 @@
 #include "bgp/attack_model.hpp"
 #include "marcopolo/fast_campaign.hpp"
 #include "obs/manifest.hpp"
-#include "obs/perf_counters.hpp"
+#include "obs/mem_stats.hpp"
 #include "obs/session.hpp"
 #include "obs/symbolize.hpp"
 #include "obs/trace_export.hpp"
@@ -152,12 +144,29 @@ struct PhaseSelection {
   }
 };
 
-/// One gated phase row for the JSON "phases" array.
+/// One gated phase row for the JSON "phases" array: wall-clock plus the
+/// memory samples taken at phase entry and exit.
 struct PhaseRow {
   std::string name;
   double seconds = 0.0;
-  obs::PhaseStats stats;
+  obs::MemorySample start;
+  obs::MemorySample end;
 };
+
+/// Run `body` once as a rep of phase `name`, timed and memory-sampled.
+template <typename Body>
+PhaseRow time_phase(std::string name, Body&& body) {
+  PhaseRow row;
+  row.name = std::move(name);
+  const auto t0 = std::chrono::steady_clock::now();
+  row.start = obs::read_memory_sample();
+  body();
+  row.end = obs::read_memory_sample();
+  row.seconds = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
+  return row;
+}
 
 }  // namespace
 
@@ -223,20 +232,6 @@ int main(int argc, char** argv) {
   const auto clock = [] { return std::chrono::steady_clock::now(); };
   constexpr std::uint64_t kSeed = 0xCAFE;
 
-  // One perf group for every single-threaded gated phase below (phases
-  // run on this thread; the parallel sweep is gated on wall-clock only,
-  // where a per-thread group could not see the workers anyway).
-  const bool counters_available = obs::PerfCounterGroup::probe();
-  obs::PerfCounterGroup perf;
-  const obs::PerfCounterGroup* perf_group =
-      perf.available() ? &perf : nullptr;
-  std::cerr << "perf counters: "
-            << (counters_available ? "available"
-                                   : "unavailable (" +
-                                         obs::PerfCounterGroup::probe_reason() +
-                                         ")")
-            << std::endl;
-
   const bool need_default_testbed = select.runs || select.recording ||
                                     select.optimizer || select.resilience;
   std::optional<core::Testbed> testbed;
@@ -263,9 +258,7 @@ int main(int argc, char** argv) {
     for (const std::size_t threads : thread_counts) {
       // Fresh registry per run so each snapshot describes one run only;
       // the invariant check below therefore also covers "metrics
-      // enabled". hw_counters stays OFF for the timed sweep: the
-      // per-task group reads would cost ~10% on the serial row and the
-      // wall-clock gate would eat the difference.
+      // enabled".
       obs::MetricsRegistry registry;
       const auto t0 = clock();
       const auto data = core::run_paper_campaigns(
@@ -314,20 +307,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Recording-overhead measurement: alternate plain and recorded serial
-  // runs and compare the minima, so part of the scheduler noise cancels
-  // out of the ratio. The recorded stores must stay byte-identical
-  // (pure-observer invariant).
-  constexpr int kOverheadReps = 3;
-  double plain_best = 0.0;
-  double recorded_seconds = 0.0;
+  // Recording block: recorded serial runs whose stores must stay
+  // byte-identical to an unrecorded run (pure-observer invariant).
+  constexpr int kRecordedReps = 3;
   bool recorded_identical = true;
   std::size_t journal_tasks = 0;
   std::size_t journal_verdicts = 0;
-  // With --profile every recorded rep runs under the sampling profiler,
-  // so "recording_overhead" below measures recorder + profiler cost. One
-  // profiler accumulates across reps and is drained once, after the last
-  // recorded run.
+  // With --profile every recorded rep runs under the sampling profiler.
+  // One profiler accumulates across reps and is drained once, after the
+  // last recorded run.
   const std::unique_ptr<obs::SamplingProfiler> profiler =
       select.recording ? obs::make_profiler(observer_flags) : nullptr;
   obs::CpuProfile cpu_profile;
@@ -337,54 +325,37 @@ int main(int argc, char** argv) {
                       ? " and profiler..."
                       : "...")
               << std::endl;
-    // The telemetry hub rides every *recorded* rep — one hub for the
-    // whole phase, so tick ids stay monotone across reps and the
-    // overhead ratio prices recorder + profiler + hub together. The
-    // recorder and registry are hoisted to keep the hub's pointers
-    // valid: drain() resets the recorder between reps, and the per-rep
-    // registry swap rebinds the hub around the emplace (set_metrics
-    // synchronizes with the tick, so the old registry can die safely).
+    if (reference.empty()) {
+      // The sweep was skipped: one unrecorded run is the reference.
+      reference = dataset_bytes(core::run_paper_campaigns(
+          *testbed, bgp::TieBreakMode::Hashed, kSeed, 1));
+    }
+    // The telemetry hub rides every recorded rep — one hub for the whole
+    // block, so tick ids stay monotone across reps. The recorder and
+    // registry are hoisted to keep the hub's pointers valid: drain()
+    // resets the recorder between reps, and the per-rep registry swap
+    // rebinds the hub around the emplace (set_metrics synchronizes with
+    // the tick, so the old registry can die safely).
     obs::FlightRecorder flight_recorder;
     std::optional<obs::MetricsRegistry> registry;
     const std::unique_ptr<obs::TelemetryHub> hub =
         obs::start_telemetry(observer_flags, nullptr, &flight_recorder);
-    for (int rep = 0; rep < kOverheadReps; ++rep) {
-      {
-        const auto t0 = clock();
-        const auto data = core::run_paper_campaigns(
-            *testbed, bgp::TieBreakMode::Hashed, kSeed, 1);
-        const double secs =
-            std::chrono::duration<double>(clock() - t0).count();
-        if (rep == 0 || secs < plain_best) plain_best = secs;
-        if (reference.empty()) reference = dataset_bytes(data);
-      }
-      // The last rep is the one exported with --trace-out; it runs with
-      // hw_counters so recorded task spans carry instruction/cycle args.
-      // That rep is excluded from the best-of overhead timing: counter
-      // reads are part of counter attribution, not recording cost.
-      const bool counters_rep =
-          rep == kOverheadReps - 1 && !trace_out.empty();
+    for (int rep = 0; rep < kRecordedReps; ++rep) {
       if (hub) hub->set_metrics(nullptr);
       registry.emplace();
       if (hub) hub->set_metrics(&*registry);
-      const auto t0 = clock();
       const auto data = core::run_paper_campaigns(
           *testbed, bgp::TieBreakMode::Hashed, kSeed, 1,
           {.metrics = &*registry,
            .recorder = &flight_recorder,
-           .hw_counters = counters_rep,
            .profiler = profiler.get(),
            .telemetry = hub.get()});
-      const double secs = std::chrono::duration<double>(clock() - t0).count();
-      if (!counters_rep && (rep == 0 || secs < recorded_seconds)) {
-        recorded_seconds = secs;
-      }
       recorded_identical =
           recorded_identical && dataset_bytes(data) == reference;
       const obs::FlightJournal journal = flight_recorder.drain();
       journal_tasks = journal.task_count();
       journal_verdicts = journal.verdict_count();
-      if (rep == kOverheadReps - 1 && profiler != nullptr) {
+      if (rep == kRecordedReps - 1 && profiler != nullptr) {
         cpu_profile = obs::symbolize_profile(profiler->drain());
         if (cpu_profile.available && cpu_profile.samples > 0) {
           std::cerr << "cpu profile: " << cpu_profile.samples
@@ -395,7 +366,7 @@ int main(int argc, char** argv) {
                     << std::endl;
         }
       }
-      if (rep == kOverheadReps - 1 && !trace_out.empty()) {
+      if (rep == kRecordedReps - 1 && !trace_out.empty()) {
         const obs::MetricsSnapshot snap = registry->snapshot();
         const bool with_profile =
             cpu_profile.available && cpu_profile.samples > 0;
@@ -411,15 +382,9 @@ int main(int argc, char** argv) {
     // Final tick (marked "final":true) scrapes the last rep's registry,
     // which is what check_trace_bundle holds against metrics.prom.
     if (hub) hub->stop();
-    const double overhead =
-        plain_best > 0.0 ? recorded_seconds / plain_best - 1.0 : 0.0;
-    std::cerr << "recording overhead: " << overhead * 100.0 << "% ("
-              << recorded_seconds << " s vs " << plain_best << " s, best of "
-              << kOverheadReps << ")  "
+    std::cerr << "recorded runs: " << kRecordedReps << "  "
               << (recorded_identical ? "identical" : "MISMATCH") << std::endl;
   }
-  const double recording_overhead =
-      plain_best > 0.0 ? recorded_seconds / plain_best - 1.0 : 0.0;
 
   std::vector<PhaseRow> phase_rows;
 
@@ -451,19 +416,11 @@ int main(int argc, char** argv) {
     ocfg.candidates = gcp;
     ocfg.top_k = 1;
     ocfg.threads = 1;
-    // Per-worker SearchStats attribution.
-    ocfg.observers.hw_counters = true;
     ocfg.stats = &opt_stats;
-    obs::PhaseStats packed_stats;
-    const auto opt_t0 = clock();
-    {
-      obs::PhaseCounters scope(perf_group, &packed_stats);
+    phase_rows.push_back(time_phase("optimizer_exhaustive_ms", [&] {
       packed_best = optimizer.best(ocfg);
-    }
-    optimizer_seconds =
-        std::chrono::duration<double>(clock() - opt_t0).count();
-    phase_rows.push_back(
-        PhaseRow{"optimizer_exhaustive_ms", optimizer_seconds, packed_stats});
+    }));
+    optimizer_seconds = phase_rows.back().seconds;
     std::cerr << "  packed: " << optimizer_seconds << " s  ("
               << opt_stats.complete_sets_scored << " sets scored, "
               << opt_stats.subtrees_pruned << " subtrees pruned)"
@@ -471,19 +428,13 @@ int main(int argc, char** argv) {
 
     const analysis::ScalarReference scalar(analysis_data->no_rpki);
     const std::size_t opt_required = ocfg.set_size - ocfg.max_failures;
-    obs::PhaseStats scalar_stats;
-    const auto scalar_t0 = clock();
     analysis::ScalarSearchBest scalar_best;
-    {
-      obs::PhaseCounters scope(perf_group, &scalar_stats);
+    phase_rows.push_back(time_phase("optimizer_exhaustive_scalar_ms", [&] {
       scalar_best = analysis::scalar_exhaustive_best(scalar, gcp,
                                                      ocfg.set_size,
                                                      opt_required);
-    }
-    optimizer_scalar_seconds =
-        std::chrono::duration<double>(clock() - scalar_t0).count();
-    phase_rows.push_back(PhaseRow{"optimizer_exhaustive_scalar_ms",
-                                  optimizer_scalar_seconds, scalar_stats});
+    }));
+    optimizer_scalar_seconds = phase_rows.back().seconds;
     optimizer_agree =
         packed_best.score.median == scalar_best.score.median &&
         packed_best.score.average == scalar_best.score.average &&
@@ -499,10 +450,9 @@ int main(int argc, char** argv) {
   // Resilience-kernel phase: the direct packed-word kernel in isolation —
   // build_success_mask + score over sliding 6-windows of the GCP pool at
   // every quorum from 6-0 to 6-5, repeated to a stable ~100ms. This is
-  // the innermost loop every ROADMAP SIMD item targets; with counters it
-  // becomes the lowest-noise number in the file (a fixed instruction
-  // stream, no allocation, no propagation). The checksum both defeats
-  // dead-code elimination and doubles as a determinism check.
+  // the innermost loop every ROADMAP SIMD item targets (a fixed
+  // instruction stream, no allocation, no propagation). The checksum both
+  // defeats dead-code elimination and doubles as a determinism check.
   double resilience_seconds = 0.0;
   double resilience_checksum = 0.0;
   std::uint64_t resilience_sets_scored = 0;
@@ -512,14 +462,11 @@ int main(int argc, char** argv) {
         analyzer->make_scratch();
     constexpr std::size_t kWindow = 6;
     constexpr int kKernelReps = 40;
-    obs::PhaseStats best_stats;
+    PhaseRow best;
     for (int rep = 0; rep < 3; ++rep) {
       double checksum = 0.0;
       std::uint64_t scored = 0;
-      obs::PhaseStats stats;
-      const auto t0 = clock();
-      {
-        obs::PhaseCounters scope(perf_group, &stats);
+      const PhaseRow row = time_phase("resilience_kernel_ms", [&] {
         for (int r = 0; r < kKernelReps; ++r) {
           for (std::size_t start = 0; start + kWindow <= gcp.size();
                ++start) {
@@ -533,17 +480,13 @@ int main(int argc, char** argv) {
             }
           }
         }
-      }
-      const double secs = std::chrono::duration<double>(clock() - t0).count();
-      if (rep == 0 || secs < resilience_seconds) {
-        resilience_seconds = secs;
-        best_stats = stats;
-      }
+      });
+      if (rep == 0 || row.seconds < best.seconds) best = row;
       resilience_checksum = checksum;
       resilience_sets_scored = scored;
     }
-    phase_rows.push_back(
-        PhaseRow{"resilience_kernel_ms", resilience_seconds, best_stats});
+    resilience_seconds = best.seconds;
+    phase_rows.push_back(best);
     std::cerr << "  " << resilience_sets_scored << " scores in "
               << resilience_seconds << " s (best of 3), checksum "
               << resilience_checksum << std::endl;
@@ -581,21 +524,13 @@ int main(int argc, char** argv) {
     scaled_run.threads = 1;
     // Best of 3: a fresh 50k-AS heap makes single runs jitter by tens of
     // percent (page faults, allocator warm-up), which would flap the gate.
-    obs::PhaseStats best_stats;
+    PhaseRow best;
     for (int rep = 0; rep < 3; ++rep) {
-      obs::PhaseStats stats;
-      const auto scaled_t0 = clock();
       std::optional<core::ResultStore> scaled_store;
-      {
-        obs::PhaseCounters scope(perf_group, &stats);
+      const PhaseRow row = time_phase("scaled_campaign_50k_ms", [&] {
         scaled_store = core::run_fast_campaign(*scaled_testbed, scaled_run);
-      }
-      const double rep_seconds =
-          std::chrono::duration<double>(clock() - scaled_t0).count();
-      if (rep == 0 || rep_seconds < scaled_seconds) {
-        scaled_seconds = rep_seconds;
-        best_stats = stats;
-      }
+      });
+      if (rep == 0 || row.seconds < best.seconds) best = row;
       for (core::SiteIndex v = 0; v < scaled_store->num_sites(); ++v) {
         for (core::SiteIndex a = 0; a < scaled_store->num_sites(); ++a) {
           if (v != a && !scaled_store->pair_complete(v, a)) {
@@ -604,8 +539,8 @@ int main(int argc, char** argv) {
         }
       }
     }
-    phase_rows.push_back(
-        PhaseRow{"scaled_campaign_50k_ms", scaled_seconds, best_stats});
+    scaled_seconds = best.seconds;
+    phase_rows.push_back(best);
     // The serial default run covers two hijack matrices; compare per
     // matrix (0 when the sweep was skipped).
     scaled_ratio = serial_seconds > 0.0
@@ -634,21 +569,13 @@ int main(int argc, char** argv) {
     core::FastCampaignConfig multi_run;
     multi_run.threads = 1;
     multi_run.attacks = multi_attacks;
-    obs::PhaseStats best_stats;
+    PhaseRow best;
     for (int rep = 0; rep < 3; ++rep) {
-      obs::PhaseStats stats;
-      const auto multi_t0 = clock();
       std::optional<core::ResultStore> multi_store;
-      {
-        obs::PhaseCounters scope(perf_group, &stats);
+      const PhaseRow row = time_phase("multi_attack_campaign_ms", [&] {
         multi_store = core::run_fast_campaign(*scaled_testbed, multi_run);
-      }
-      const double rep_seconds =
-          std::chrono::duration<double>(clock() - multi_t0).count();
-      if (rep == 0 || rep_seconds < multi_seconds) {
-        multi_seconds = rep_seconds;
-        best_stats = stats;
-      }
+      });
+      if (rep == 0 || row.seconds < best.seconds) best = row;
       for (std::size_t ai = 0; ai < multi_store->num_attacks(); ++ai) {
         for (core::SiteIndex v = 0; v < multi_store->num_sites(); ++v) {
           for (core::SiteIndex a = 0; a < multi_store->num_sites(); ++a) {
@@ -659,8 +586,8 @@ int main(int argc, char** argv) {
         }
       }
     }
-    phase_rows.push_back(
-        PhaseRow{"multi_attack_campaign_ms", multi_seconds, best_stats});
+    multi_seconds = best.seconds;
+    phase_rows.push_back(best);
     multi_per_attack_ratio =
         scaled_seconds > 0.0
             ? multi_seconds /
@@ -678,13 +605,7 @@ int main(int argc, char** argv) {
       << "  \"version\": \"" << obs::json_escape(MARCOPOLO_GIT_DESCRIBE)
       << "\",\n"
       << "  \"hostname\": \"" << obs::json_escape(hostname()) << "\",\n"
-      << "  \"perf_counters\": \""
-      << (counters_available ? "available" : "unavailable") << "\",\n";
-  if (!counters_available) {
-    out << "  \"perf_counters_reason\": \""
-        << obs::json_escape(obs::PerfCounterGroup::probe_reason()) << "\",\n";
-  }
-  out << "  \"hardware_concurrency\": "
+      << "  \"hardware_concurrency\": "
       << std::thread::hardware_concurrency() << ",\n"
       << "  \"thread_counts\": [";
   for (std::size_t i = 0; i < thread_counts.size(); ++i) {
@@ -722,7 +643,12 @@ int main(int argc, char** argv) {
     const PhaseRow& p = phase_rows[i];
     out << "    {\"name\": \"" << p.name << "\", \"seconds\": " << p.seconds
         << ", \"ms\": " << p.seconds * 1000.0;
-    obs::write_phase_stats_json(out, p.stats);
+    if (p.start.valid && p.end.valid) {
+      out << ", \"peak_rss_kb\": " << p.end.peak_rss_kb
+          << ", \"rss_delta_kb\": "
+          << static_cast<std::int64_t>(p.end.rss_kb) -
+                 static_cast<std::int64_t>(p.start.rss_kb);
+    }
     out << "}" << (i + 1 < phase_rows.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
@@ -762,13 +688,8 @@ int main(int argc, char** argv) {
         << "    \"threads\": 1,\n"
         << "    \"complete_sets_scored\": " << opt_stats.complete_sets_scored
         << ",\n"
-        << "    \"subtrees_pruned\": " << opt_stats.subtrees_pruned << ",\n";
-    if (opt_stats.counters.valid) {
-      out << "    \"instructions\": " << opt_stats.counters.instructions
-          << ",\n"
-          << "    \"cycles\": " << opt_stats.counters.cycles << ",\n";
-    }
-    out << "    \"best_median\": " << packed_best.score.median << ",\n"
+        << "    \"subtrees_pruned\": " << opt_stats.subtrees_pruned << ",\n"
+        << "    \"best_median\": " << packed_best.score.median << ",\n"
         << "    \"best_average\": " << packed_best.score.average << ",\n"
         << "    \"packed_speedup_vs_scalar\": " << optimizer_speedup << ",\n"
         << "    \"scalar_agrees\": " << (optimizer_agree ? "true" : "false")
@@ -783,8 +704,6 @@ int main(int argc, char** argv) {
   }
   if (select.recording) {
     out << "  \"recording\": {\n"
-        << "    \"seconds\": " << recorded_seconds << ",\n"
-        << "    \"recording_overhead\": " << recording_overhead << ",\n"
         << "    \"store_identical\": "
         << (recorded_identical ? "true" : "false") << ",\n"
         << "    \"task_spans\": " << journal_tasks << ",\n"
@@ -795,7 +714,7 @@ int main(int argc, char** argv) {
   }
   if (cpu_profile.available && cpu_profile.samples > 0) {
     // Same schema as the run-manifest "profile" section, so mpinspect
-    // diff attributes instruction-gate breaches between bench documents.
+    // diff ranks hot-symbol share changes between bench documents.
     out << "  \"profile\": ";
     obs::write_profile_json(out, cpu_profile, "  ");
     out << ",\n";

@@ -4,7 +4,6 @@
 #include <array>
 #include <atomic>
 #include <cassert>
-#include <memory>
 #include <queue>
 #include <set>
 #include <stdexcept>
@@ -132,25 +131,10 @@ std::vector<RankedDeployment> DeploymentOptimizer::search_exhaustive(
   std::vector<SearchStats> stats(n_threads);
   std::atomic<std::size_t> next_first{0};
 
-  const bool hw_counters =
-      cfg.observers.hw_counters && obs::PerfCounterGroup::probe();
-
   auto worker = [&](std::size_t t) {
     // Attach this worker thread to the sampling profiler (no-op when
     // null/unavailable) so search CPU attributes to the scoring kernels.
     obs::ProfiledThread profiled(cfg.observers.profiler);
-    // Per-thread perf group bracketing the whole work loop: two reads
-    // per worker, zero cost inside the DFS itself.
-    std::unique_ptr<obs::PerfCounterGroup> perf;
-    obs::CounterSample perf_start;
-    if (hw_counters) {
-      perf = std::make_unique<obs::PerfCounterGroup>();
-      if (perf->available()) {
-        perf_start = perf->read();
-      } else {
-        perf.reset();
-      }
-    }
     // Allocated once per worker and reused across every stolen subtree.
     ResilienceAnalyzer::Workspace ws =
         maintain_counts ? analyzer_.make_workspace()
@@ -223,7 +207,6 @@ std::vector<RankedDeployment> DeploymentOptimizer::search_exhaustive(
       // corrupted workspace would silently skew every later subtree.
       assert(!maintain_counts || ResilienceAnalyzer::is_zero(ws));
     }
-    if (perf != nullptr) st.counters = perf->read() - perf_start;
   };
 
   if (n_threads == 1) {
@@ -241,12 +224,10 @@ std::vector<RankedDeployment> DeploymentOptimizer::search_exhaustive(
   for (const SearchStats& st : stats) {
     totals.complete_sets_scored += st.complete_sets_scored;
     totals.subtrees_pruned += st.subtrees_pruned;
-    totals.counters += st.counters;
   }
   if (cfg.stats != nullptr) {
     cfg.stats->complete_sets_scored += totals.complete_sets_scored;
     cfg.stats->subtrees_pruned += totals.subtrees_pruned;
-    cfg.stats->counters += totals.counters;
   }
   if (obs::MetricsRegistry* metrics = cfg.observers.metrics) {
     metrics->counter("optimizer.exhaustive_searches").add(1);
@@ -254,19 +235,6 @@ std::vector<RankedDeployment> DeploymentOptimizer::search_exhaustive(
         .add(totals.complete_sets_scored);
     metrics->counter("optimizer.subtrees_pruned")
         .add(totals.subtrees_pruned);
-    if (totals.counters.valid) {
-      // Interned only when a group actually counted, so uninstrumented
-      // and counter-less runs keep a byte-identical metrics section.
-      metrics->counter("optimizer.instructions")
-          .add(totals.counters.instructions);
-      metrics->counter("optimizer.cycles").add(totals.counters.cycles);
-      metrics->counter("optimizer.cache_references")
-          .add(totals.counters.cache_references);
-      metrics->counter("optimizer.cache_misses")
-          .add(totals.counters.cache_misses);
-      metrics->counter("optimizer.branch_misses")
-          .add(totals.counters.branch_misses);
-    }
   }
 
   // Deterministic merge: every candidate set appears in exactly one

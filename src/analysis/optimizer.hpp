@@ -26,7 +26,6 @@
 
 #include "analysis/resilience.hpp"
 #include "obs/observers.hpp"
-#include "obs/perf_counters.hpp"
 #include "topo/rir.hpp"
 
 namespace marcopolo::analysis {
@@ -50,11 +49,6 @@ enum class SearchStrategy : std::uint8_t { Exhaustive, Beam };
 struct SearchStats {
   std::size_t complete_sets_scored = 0;
   std::size_t subtrees_pruned = 0;
-  /// Hardware counters over the exhaustive workers' DFS loops, summed
-  /// across threads (each worker reads its own per-thread perf group).
-  /// Invalid unless OptimizerConfig::observers.hw_counters was on and the
-  /// host allowed perf_event_open.
-  obs::CounterSample counters;
 };
 
 struct OptimizerConfig {
@@ -94,9 +88,8 @@ struct OptimizerConfig {
   /// (summed across worker threads after the join).
   SearchStats* stats = nullptr;
   /// Optional observers (obs/observers.hpp). Search totals go under
-  /// "optimizer.*"; exhaustive-search workers open a perf group and attach
-  /// the profiler for their DFS loop (counter totals also land in
-  /// SearchStats::counters).
+  /// "optimizer.*"; exhaustive-search workers attach the profiler for
+  /// their DFS loop.
   obs::Observers observers;
 };
 

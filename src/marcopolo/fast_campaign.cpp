@@ -1,11 +1,9 @@
 #include "marcopolo/fast_campaign.hpp"
 
 #include <atomic>
-#include <memory>
 #include <thread>
 
 #include "obs/log.hpp"
-#include "obs/perf_counters.hpp"
 #include "obs/timer.hpp"
 
 namespace marcopolo::core {
@@ -31,43 +29,14 @@ struct CampaignMetrics {
   obs::Histogram propagate_ns;
   obs::Histogram classify_ns;
   obs::Histogram record_ns;
-  /// Hardware-counter totals, interned only when the campaign runs with
-  /// hw_counters AND the host can open a perf group — a counters-off or
-  /// counters-unavailable run produces a byte-identical metrics section.
-  obs::Counter instructions;
-  obs::Counter cycles;
-  obs::Counter cache_references;
-  obs::Counter cache_misses;
-  obs::Counter branch_misses;
-  obs::Counter propagate_instructions;
-  obs::Counter classify_instructions;
-  obs::Counter record_instructions;
   /// Pre-interned propagation-engine handles shared by every task (null
   /// when the campaign is uninstrumented), so per-scenario flushes never
   /// re-intern names.
   bgp::PropagationMetrics propagation;
   bool enabled = false;
 
-  static CampaignMetrics create(obs::MetricsRegistry* reg,
-                                bool hw_counters = false) {
+  static CampaignMetrics create(obs::MetricsRegistry* reg) {
     CampaignMetrics m;
-    if (hw_counters && obs::PerfCounterGroup::probe()) {
-      m.instructions =
-          obs::MetricsRegistry::counter(reg, "campaign.instructions");
-      m.cycles = obs::MetricsRegistry::counter(reg, "campaign.cycles");
-      m.cache_references =
-          obs::MetricsRegistry::counter(reg, "campaign.cache_references");
-      m.cache_misses =
-          obs::MetricsRegistry::counter(reg, "campaign.cache_misses");
-      m.branch_misses =
-          obs::MetricsRegistry::counter(reg, "campaign.branch_misses");
-      m.propagate_instructions = obs::MetricsRegistry::counter(
-          reg, "campaign.phase.propagate_instructions");
-      m.classify_instructions = obs::MetricsRegistry::counter(
-          reg, "campaign.phase.classify_instructions");
-      m.record_instructions = obs::MetricsRegistry::counter(
-          reg, "campaign.phase.record_instructions");
-    }
     m.propagation = bgp::PropagationMetrics::create(reg);
     m.enabled = reg != nullptr;
     m.tasks_executed = obs::MetricsRegistry::counter(reg, "campaign.tasks_executed");
@@ -128,31 +97,7 @@ class CampaignWorker {
         metrics_(metrics),
         recorder_(recorder),
         flight_(flight),
-        verdicts_(testbed.perspectives().size()) {
-    // Perf groups are per-thread, so each worker opens its own — the
-    // constructor runs on the worker thread (drain()). Probe first: on a
-    // denied host no fds are opened and the worker behaves exactly as
-    // with counters off.
-    if (config.observers.hw_counters && obs::PerfCounterGroup::probe()) {
-      perf_ = std::make_unique<obs::PerfCounterGroup>();
-      if (!perf_->available()) perf_.reset();
-    }
-  }
-
-  /// Add this worker's accumulated counter deltas to the campaign
-  /// totals. Called once after the task loop — per-task flushes would
-  /// put eight relaxed adds in the hot path for no freshness benefit.
-  void flush_counters() {
-    if (perf_ == nullptr) return;
-    metrics_.instructions.add(counters_total_.instructions);
-    metrics_.cycles.add(counters_total_.cycles);
-    metrics_.cache_references.add(counters_total_.cache_references);
-    metrics_.cache_misses.add(counters_total_.cache_misses);
-    metrics_.branch_misses.add(counters_total_.branch_misses);
-    metrics_.propagate_instructions.add(propagate_instructions_);
-    metrics_.classify_instructions.add(classify_instructions_);
-    metrics_.record_instructions.add(record_instructions_);
-  }
+        verdicts_(testbed.perspectives().size()) {}
 
   /// Run every adversary against this announcer, sweeping every attack
   /// type per pair. Returns the number of attacks executed — the
@@ -189,11 +134,6 @@ class CampaignWorker {
     metrics_.tasks_executed.add(1);
     const bool recording = flight_ != nullptr;
     const std::uint64_t t_start = recording ? obs::flight_now_ns() : 0;
-    // Counter reads bracket the same boundaries as the flight
-    // timestamps, so phase instruction counts line up with phase_ns.
-    const bool counting = perf_ != nullptr;
-    obs::CounterSample c_start;
-    if (counting) c_start = perf_->read();
     const auto& sites = testbed_.sites();
     const auto& perspectives = testbed_.perspectives();
     const bgp::AttackType type = attacks_[attack];
@@ -224,19 +164,12 @@ class CampaignWorker {
       }
       const std::uint64_t total = rows * perspectives.size();
       metrics_.rows_recorded.add(total);
-      obs::CounterSample c_task;
-      if (counting) {
-        c_task = perf_->read() - c_start;
-        counters_total_ += c_task;
-        record_instructions_ += c_task.instructions;
-      }
       if (recording) {
         flight_->record_task(make_task_span(task.announcer, adversary,
                                             attack_tag, rows,
                                             /*total_capture=*/true, t_start, 0,
-                                            0, t_start, c_task));
+                                            0, t_start));
         recorder_->note_verdicts(total, total);
-        recorder_->note_instructions(c_task.instructions);
       }
       return;
     }
@@ -255,8 +188,6 @@ class CampaignWorker {
       }
     }
     const std::uint64_t t_propagated = recording ? obs::flight_now_ns() : 0;
-    obs::CounterSample c_propagated;
-    if (counting) c_propagated = perf_->read();
     metrics_.propagations.add(1);
     if (config_.incremental) metrics_.delta_replays.add(1);
     // Resolve every perspective once per task; the outcome depends only on
@@ -268,8 +199,6 @@ class CampaignWorker {
       testbed_.resolve_all(scenario_, edge_roas_, egress_, verdicts_);
     }
     const std::uint64_t t_classified = recording ? obs::flight_now_ns() : 0;
-    obs::CounterSample c_classified;
-    if (counting) c_classified = perf_->read();
     obs::ScopedTimer record_timer(metrics_.record_ns);
     std::uint64_t rows = 0;
     std::uint64_t adversary_verdicts = 0;
@@ -293,25 +222,12 @@ class CampaignWorker {
       }
     }
     metrics_.rows_recorded.add(rows * perspectives.size());
-    obs::CounterSample c_task;
-    if (counting) {
-      const obs::CounterSample c_end = perf_->read();
-      c_task = c_end - c_start;
-      counters_total_ += c_task;
-      propagate_instructions_ +=
-          c_propagated.instructions - c_start.instructions;
-      classify_instructions_ +=
-          c_classified.instructions - c_propagated.instructions;
-      record_instructions_ += c_end.instructions - c_classified.instructions;
-    }
     if (recording) {
       flight_->record_task(make_task_span(task.announcer, adversary,
                                           attack_tag, rows,
                                           /*total_capture=*/false, t_start,
-                                          t_propagated, t_classified, t_start,
-                                          c_task));
+                                          t_propagated, t_classified, t_start));
       recorder_->note_verdicts(rows * perspectives.size(), adversary_verdicts);
-      recorder_->note_instructions(c_task.instructions);
     }
   }
 
@@ -334,7 +250,7 @@ class CampaignWorker {
       std::size_t announcer, std::size_t adversary, std::uint8_t attack,
       std::uint64_t rows, bool total_capture, std::uint64_t t_start,
       std::uint64_t t_propagated, std::uint64_t t_classified,
-      std::uint64_t phase_base, const obs::CounterSample& counters = {}) {
+      std::uint64_t phase_base) {
     const std::uint64_t t_end = obs::flight_now_ns();
     obs::TaskSpanRecord rec;
     rec.announcer = static_cast<std::uint32_t>(announcer);
@@ -348,10 +264,6 @@ class CampaignWorker {
       rec.propagate_ns = t_propagated - phase_base;
       rec.classify_ns = t_classified - t_propagated;
       rec.record_ns = t_end - t_classified;
-    }
-    if (counters.valid) {
-      rec.instructions = counters.instructions;
-      rec.cycles = counters.cycles;
     }
     return rec;
   }
@@ -369,14 +281,6 @@ class CampaignWorker {
   bgp::DeltaPropagation delta_;
   cloud::EgressScratch egress_;
   std::vector<cloud::ResolveExplanation> verdicts_;  // by perspective
-  /// Per-worker perf group (null when hw_counters is off or the host
-  /// denies perf_event_open) and locally accumulated deltas, flushed to
-  /// the registry once via flush_counters().
-  std::unique_ptr<obs::PerfCounterGroup> perf_;
-  obs::CounterSample counters_total_;
-  std::uint64_t propagate_instructions_ = 0;
-  std::uint64_t classify_instructions_ = 0;
-  std::uint64_t record_instructions_ = 0;
 };
 
 }  // namespace
@@ -414,8 +318,7 @@ ResultStore run_fast_campaign(const Testbed& testbed,
   }
 
   const CampaignMetrics metrics =
-      CampaignMetrics::create(config.observers.metrics,
-                              config.observers.hw_counters);
+      CampaignMetrics::create(config.observers.metrics);
 
   // One task per announcer; the worker iterates every adversary inside it
   // (baseline reuse). Accounting stays per (announcer, adversary) attack:
@@ -505,7 +408,6 @@ ResultStore run_fast_campaign(const Testbed& testbed,
           done_local;
       if (done == total_attacks) observers.progress(done, total_attacks);
     }
-    worker.flush_counters();
     if (slot != nullptr) observers.telemetry->close_worker_slot(slot);
   };
 

@@ -36,6 +36,16 @@ void check_header_dims(std::size_t sites, std::size_t perspectives,
   }
 }
 
+/// A reader's plane-tag check, made before `type` joins `seen`: a type
+/// named twice is a bad file, not the constructor's bad argument.
+void check_new_attack(const std::vector<bgp::AttackType>& seen,
+                      bgp::AttackType type, const char* format) {
+  if (std::find(seen.begin(), seen.end(), type) != seen.end()) {
+    throw std::runtime_error(std::string(format) + " names attack type " +
+                             bgp::to_cstring(type) + " twice");
+  }
+}
+
 }  // namespace
 
 ResultStore::ResultStore(std::size_t num_sites, std::size_t num_perspectives)
@@ -183,6 +193,7 @@ std::vector<bgp::AttackType> parse_attack_type_comment(
       throw std::runtime_error("results csv unknown attack type: " +
                                std::string(token));
     }
+    check_new_attack(out, *type, "results csv");
     out.push_back(*type);
     if (comma == std::string_view::npos) break;
     names.remove_prefix(comma + 1);
@@ -195,8 +206,7 @@ std::vector<bgp::AttackType> parse_attack_type_comment(
 ResultStore ResultStore::load_csv(std::istream& in) {
   std::string line;
   // Accept-and-remember leading comment lines ("# schema=N",
-  // "# attack_types=..."); files written before the schema comment existed
-  // start at the header row.
+  // "# attack_types=..."); the header row follows them.
   std::vector<bgp::AttackType> attacks;
   do {
     if (!std::getline(in, line)) throw std::runtime_error("empty results csv");
@@ -208,7 +218,7 @@ ResultStore ResultStore::load_csv(std::istream& in) {
   } while (!line.empty() && line.front() == '#');
   std::size_t sites = 0;
   std::size_t perspectives = 0;
-  std::size_t num_attacks = 0;  // 0 = schema-1 header, rows have no column
+  std::size_t num_attacks = 0;
   {
     std::istringstream header(line);
     std::string tag;
@@ -224,29 +234,22 @@ ResultStore ResultStore::load_csv(std::istream& in) {
     if (!header || !(header >> perspectives)) {
       throw std::runtime_error("bad results csv header counts");
     }
-    // Schema 2 extends the header with ",attacks,<k>"; its absence marks a
-    // pre-multi-attack file.
-    if (header >> comma && std::getline(header, tag, ',')) {
-      if (tag != "attacks") {
-        throw std::runtime_error("bad results csv header: expected "
-                                 "'attacks' tag, got '" + tag + "'");
-      }
-      if (!(header >> num_attacks) || num_attacks == 0) {
-        throw std::runtime_error("bad results csv attack count");
-      }
+    // Schema 2 ends the header with ",attacks,<k>"; a schema-1 header
+    // stops before it.
+    if (!(header >> comma)) {
+      throw std::runtime_error(
+          "unsupported results csv schema: header has no attacks field");
+    }
+    std::getline(header, tag, ',');
+    if (tag != "attacks") {
+      throw std::runtime_error("bad results csv header: expected "
+                               "'attacks' tag, got '" + tag + "'");
+    }
+    if (!(header >> num_attacks) || num_attacks == 0) {
+      throw std::runtime_error("bad results csv attack count");
     }
   }
-  const bool has_attack_column = num_attacks != 0;
-  if (!has_attack_column) {
-    // Legacy single-attack file: one plane, tagged with the recorded type
-    // when the comment carried one (a schema-2 writer never omits it) or
-    // the historical default otherwise.
-    if (attacks.size() > 1) {
-      throw std::runtime_error(
-          "results csv: multiple attack types but schema-1 header");
-    }
-    if (attacks.empty()) attacks = {bgp::AttackType::EquallySpecific};
-  } else if (attacks.size() != num_attacks) {
+  if (attacks.size() != num_attacks) {
     throw std::runtime_error(
         "results csv attack_types comment does not match header count");
   }
@@ -262,9 +265,7 @@ ResultStore ResultStore::load_csv(std::istream& in) {
     std::size_t t = 0;
     int outcome = 0;
     char c = 0;
-    row >> v >> c >> a >> c >> p >> c;
-    if (has_attack_column) row >> t >> c;
-    row >> outcome;
+    row >> v >> c >> a >> c >> p >> c >> t >> c >> outcome;
     if (!row) throw std::runtime_error("bad results csv row: " + line);
     if (outcome < static_cast<int>(bgp::OriginReached::None) ||
         outcome > static_cast<int>(bgp::OriginReached::Adversary)) {
@@ -285,10 +286,8 @@ ResultStore ResultStore::load_csv(std::istream& in) {
 namespace {
 
 constexpr std::array<char, 4> kBinaryMagic = {'M', 'P', 'R', 'S'};
-// Schema 1: single implicit EquallySpecific plane, no attack dimension.
-// Schema 2: u32 attack count + one attack-type byte per plane after the
-// perspective count, planes concatenated in tag order.
-constexpr std::uint8_t kBinarySchemaLegacy = 1;
+// Schema 2, the only one read: u32 attack count + one attack-type byte
+// per plane after the perspective count, planes concatenated in tag order.
 constexpr std::uint8_t kBinarySchema = 2;
 // In-file nibble for a cell nobody recorded (in-memory it is 0xff, which
 // does not fit a nibble).
@@ -353,31 +352,29 @@ ResultStore ResultStore::load_binary(std::istream& in) {
     throw std::runtime_error("results binary truncated in header");
   }
   const auto schema = static_cast<std::uint8_t>(schema_and_reserved[0]);
-  if (schema != kBinarySchemaLegacy && schema != kBinarySchema) {
+  if (schema != kBinarySchema) {
     throw std::runtime_error("unsupported results binary schema " +
                              std::to_string(schema));
   }
   const std::uint32_t sites = get_u32le(in, "sites");
   const std::uint32_t perspectives = get_u32le(in, "perspectives");
+  const std::uint32_t count = get_u32le(in, "attack count");
+  if (count == 0) {
+    throw std::runtime_error("results binary has zero attack planes");
+  }
   std::vector<bgp::AttackType> attacks;
-  if (schema == kBinarySchemaLegacy) {
-    attacks = {bgp::AttackType::EquallySpecific};
-  } else {
-    const std::uint32_t count = get_u32le(in, "attack count");
-    if (count == 0) {
-      throw std::runtime_error("results binary has zero attack planes");
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const int byte = in.get();
+    if (byte == std::char_traits<char>::eof()) {
+      throw std::runtime_error("results binary truncated in attack types");
     }
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const int byte = in.get();
-      if (byte == std::char_traits<char>::eof()) {
-        throw std::runtime_error("results binary truncated in attack types");
-      }
-      if (static_cast<std::size_t>(byte) >= bgp::kAttackTypeCount) {
-        throw std::runtime_error("results binary unknown attack type " +
-                                 std::to_string(byte));
-      }
-      attacks.push_back(static_cast<bgp::AttackType>(byte));
+    if (static_cast<std::size_t>(byte) >= bgp::kAttackTypeCount) {
+      throw std::runtime_error("results binary unknown attack type " +
+                               std::to_string(byte));
     }
+    const auto type = static_cast<bgp::AttackType>(byte);
+    check_new_attack(attacks, type, "results binary");
+    attacks.push_back(type);
   }
   check_header_dims(sites, perspectives, "results binary");
   ResultStore store(sites, perspectives, std::move(attacks));

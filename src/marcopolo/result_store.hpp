@@ -194,12 +194,11 @@ class ResultStore {
   /// then one `victim,adversary,perspective,attack,outcome` row per
   /// recorded cell (attack = plane index).
   void save_csv(std::ostream& out) const;
-  /// Parses save_csv() output, including pre-multi-attack files: a
-  /// schema-1 header (no `attacks` field, four-column rows) loads as a
-  /// single plane tagged with the file's recorded attack type (the
-  /// `# attack_types=` comment) or EquallySpecific when the file predates
-  /// the tag. Throws std::runtime_error on header dims beyond kMaxSites /
-  /// kMaxPerspectives and on a row whose index is outside them.
+  /// Parses save_csv() output. Throws std::runtime_error on a schema-1
+  /// header (no `attacks` field), an `# attack_types=` comment that is
+  /// missing, names an unknown or repeated type, or disagrees with the
+  /// header count, header dims beyond kMaxSites / kMaxPerspectives, and a
+  /// malformed row or one whose index or outcome is out of range.
   [[nodiscard]] static ResultStore load_csv(std::istream& in);
 
   /// Versioned binary format: "MPRS" magic, a schema byte (2), little-
@@ -209,11 +208,10 @@ class ResultStore {
   /// and exact: every cell (including explicit None and unrecorded holes)
   /// survives.
   void save_binary(std::ostream& out) const;
-  /// Parses save_binary() output. Schema-1 files (no attack dimension)
-  /// load as a single EquallySpecific plane. Throws std::runtime_error on
-  /// a bad magic, an unknown schema byte, dims beyond kMaxSites /
-  /// kMaxPerspectives, a truncated plane, an unknown attack-type byte, or
-  /// a nibble that is not a valid outcome.
+  /// Parses save_binary() output. Throws std::runtime_error on a bad
+  /// magic, a schema byte other than 2, dims beyond kMaxSites /
+  /// kMaxPerspectives, zero planes, an unknown or repeated attack-type
+  /// byte, a truncated plane, or a nibble that is not a valid outcome.
   [[nodiscard]] static ResultStore load_binary(std::istream& in);
 
  private:

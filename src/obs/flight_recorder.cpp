@@ -77,7 +77,6 @@ FlightJournal FlightRecorder::drain() {
   journal.epoch_ns = epoch == ~std::uint64_t{0} ? 0 : epoch;
   verdicts_.store(0, std::memory_order_relaxed);
   adversary_verdicts_.store(0, std::memory_order_relaxed);
-  instructions_.store(0, std::memory_order_relaxed);
   return journal;
 }
 
@@ -124,22 +123,8 @@ void ProgressReporter::update(std::size_t done, std::size_t total) {
   } else {
     std::snprintf(eta, sizeof eta, "ETA ?");
   }
-  char instr[48] = "";
   char hijacked[48] = "";
   if (recorder_ != nullptr) {
-    // Live instructions/s, present only on hw_counters runs (the tally
-    // stays 0 otherwise, and the line keeps its counter-less shape).
-    const std::uint64_t instructions = recorder_->instructions();
-    if (instructions != 0 && elapsed > 0.0) {
-      const double per_s = static_cast<double>(instructions) / elapsed;
-      if (per_s >= 1e9) {
-        std::snprintf(instr, sizeof instr, "  %.1fG instr/s", per_s / 1e9);
-      } else if (per_s >= 1e6) {
-        std::snprintf(instr, sizeof instr, "  %.1fM instr/s", per_s / 1e6);
-      } else {
-        std::snprintf(instr, sizeof instr, "  %.0f instr/s", per_s);
-      }
-    }
     const std::uint64_t verdicts = recorder_->verdicts();
     if (verdicts != 0) {
       std::snprintf(hijacked, sizeof hijacked, "  hijacked %.1f%%",
@@ -155,8 +140,8 @@ void ProgressReporter::update(std::size_t done, std::size_t total) {
   char line[224];
   int len = std::snprintf(line, sizeof line,
                           "[campaign] %zu/%zu tasks (%.1f%%)  %.1f tasks/s"
-                          "%s  %s%s",
-                          done, total, pct, rate, instr, eta, hijacked);
+                          "  %s%s",
+                          done, total, pct, rate, eta, hijacked);
   if (len < 0) len = 0;
   guard_->live_line(std::string_view(line, static_cast<std::size_t>(len)),
                     final);

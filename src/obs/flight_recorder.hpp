@@ -94,18 +94,10 @@ struct TaskSpanRecord {
   std::uint64_t propagate_ns = 0;
   std::uint64_t classify_ns = 0;
   std::uint64_t record_ns = 0;
-  /// Hardware counters across the whole task, from the worker's own
-  /// perf group (fast_campaign `hw_counters`); 0 when counters were off
-  /// or unavailable — the journal omits zero fields, keeping output
-  /// byte-identical to pre-counter runs (schema-1 forward-compatible,
-  /// same policy as the worker id).
-  std::uint64_t instructions = 0;
-  std::uint64_t cycles = 0;
   /// bgp::AttackType value of the attack this task evaluated (0 =
   /// equally-specific, the only type pre-multi-attack journals could
   /// carry). Omitted from the journal when 0, so single-attack runs stay
-  /// byte-identical to pre-attack-tag output (same policy as the
-  /// hardware counters above).
+  /// byte-identical to pre-attack-tag output.
   std::uint8_t attack = 0;
 };
 
@@ -254,17 +246,6 @@ class FlightRecorder {
     return adversary_verdicts_.load(std::memory_order_relaxed);
   }
 
-  /// Live instructions-retired tally (hw_counters runs only). Workers
-  /// flush one per-task delta, so the progress line can show live
-  /// instructions/s next to tasks/s; stays 0 — and the line unchanged —
-  /// when counters are off or unavailable.
-  void note_instructions(std::uint64_t delta) {
-    if (delta != 0) instructions_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t instructions() const {
-    return instructions_.load(std::memory_order_relaxed);
-  }
-
   /// Merge every buffer into one journal and reset the recorder. Call
   /// after all writers have finished their final task.
   [[nodiscard]] FlightJournal drain();
@@ -274,14 +255,12 @@ class FlightRecorder {
   std::vector<std::unique_ptr<FlightBuffer>> buffers_;
   std::atomic<std::uint64_t> verdicts_{0};
   std::atomic<std::uint64_t> adversary_verdicts_{0};
-  std::atomic<std::uint64_t> instructions_{0};
 };
 
 /// Periodic stderr progress line driven from the campaign progress hook
-/// and, when a recorder is attached, its live verdict counters (plus
-/// live instructions/s on hw_counters runs):
+/// and, when a recorder is attached, its live verdict counters:
 ///
-///   [campaign] 512/992 tasks (51.6%)  324.1 tasks/s  2.1G instr/s  ETA 1.5s  hijacked 34.2%
+///   [campaign] 512/992 tasks (51.6%)  324.1 tasks/s  ETA 1.5s  hijacked 34.2%
 ///
 /// Thread-safe and rate-limited (at most one update per interval). Live
 /// updates overwrite a single line via \r; completion always emits a

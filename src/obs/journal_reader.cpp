@@ -66,8 +66,6 @@ void decode_task(const json::Value& rec, LaneIndex& lanes) {
   t.propagate_ns = rec.u64_or("propagate_ns", 0);
   t.classify_ns = rec.u64_or("classify_ns", 0);
   t.record_ns = rec.u64_or("record_ns", 0);
-  t.instructions = rec.u64_or("instructions", 0);
-  t.cycles = rec.u64_or("cycles", 0);
   // Absent in pre-multi-attack journals: 0 = equally-specific.
   t.attack = static_cast<std::uint8_t>(rec.u64_or("attack", 0));
   lanes.lane(static_cast<std::uint32_t>(rec.u64_or("worker", 0)))

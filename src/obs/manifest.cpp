@@ -93,30 +93,8 @@ void RunManifest::set(std::string_view key, bool value) {
   config_.emplace_back(std::string(key), value);
 }
 
-void write_phase_stats_json(std::ostream& out, const PhaseStats& stats) {
-  if (stats.counters.valid) {
-    const CounterSample& c = stats.counters;
-    out << ", \"instructions\": " << c.instructions
-        << ", \"cycles\": " << c.cycles
-        << ", \"cache_references\": " << c.cache_references
-        << ", \"cache_misses\": " << c.cache_misses
-        << ", \"branch_misses\": " << c.branch_misses
-        << ", \"ipc\": " << format_double(c.ipc())
-        << ", \"cache_miss_rate\": " << format_double(c.cache_miss_rate());
-  }
-  if (stats.mem_valid) {
-    out << ", \"peak_rss_kb\": " << stats.peak_rss_kb
-        << ", \"rss_delta_kb\": " << stats.rss_delta_kb;
-  }
-}
-
 void RunManifest::add_phase(std::string_view name, double seconds) {
-  phases_.push_back(Phase{std::string(name), seconds, PhaseStats{}});
-}
-
-void RunManifest::add_phase(std::string_view name, double seconds,
-                            const PhaseStats& stats) {
-  phases_.push_back(Phase{std::string(name), seconds, stats});
+  phases_.push_back(Phase{std::string(name), seconds});
 }
 
 void write_profile_json(std::ostream& out, const CpuProfile& profile,
@@ -172,9 +150,7 @@ void RunManifest::write_json(std::ostream& out,
   for (std::size_t i = 0; i < phases_.size(); ++i) {
     out << (i == 0 ? "\n" : ",\n") << "    {\"name\": \""
         << json_escape(phases_[i].name)
-        << "\", \"seconds\": " << format_double(phases_[i].seconds);
-    write_phase_stats_json(out, phases_[i].stats);
-    out << "}";
+        << "\", \"seconds\": " << format_double(phases_[i].seconds) << "}";
   }
   if (!phases_.empty()) out << "\n  ";
   out << "],\n";

@@ -20,7 +20,6 @@
 
 #include "obs/json.hpp"  // json_escape (the writers' shared escaper)
 #include "obs/metrics.hpp"
-#include "obs/perf_counters.hpp"
 #include "obs/symbolize.hpp"
 
 namespace marcopolo::obs {
@@ -33,15 +32,6 @@ namespace marcopolo::obs {
 /// `indent` is prepended to every line after the first.
 void write_metrics_json(std::ostream& out, const MetricsSnapshot& snapshot,
                         std::string_view indent = {});
-
-/// Append the counter/memory fields of one PhaseStats to a JSON object
-/// under construction (emits ", \"instructions\": N, ..." — caller owns
-/// the braces). Counter fields appear only when the sample is valid and
-/// memory fields only when /proc was readable, so counter-less hosts
-/// produce phase rows byte-identical to the pre-counter format. Shared
-/// between RunManifest and the campaign_wallclock bench so both emit the
-/// exact field names manifest_reader parses.
-void write_phase_stats_json(std::ostream& out, const PhaseStats& stats);
 
 /// Write a CpuProfile's summary as a JSON object: sampling rate, sample
 /// accounting, and the top-`top_n` hot symbols by self samples
@@ -75,12 +65,6 @@ class RunManifest {
   /// Record a completed wall-clock phase.
   void add_phase(std::string_view name, double seconds);
 
-  /// Record a phase with hardware-counter / memory attribution. Invalid
-  /// stats (counters unavailable, /proc unreadable) degrade to the plain
-  /// wall-clock row — call sites never branch on availability.
-  void add_phase(std::string_view name, double seconds,
-                 const PhaseStats& stats);
-
   /// Attach a CPU profile summary. Serialized as a "profile" section
   /// only when the profile is available and non-empty, so profiler
   /// off/unavailable manifests stay byte-identical to pre-profiler ones
@@ -101,7 +85,6 @@ class RunManifest {
   struct Phase {
     std::string name;
     double seconds = 0.0;
-    PhaseStats stats;  // counters.valid / mem_valid gate serialization
   };
 
   std::string tool_;

@@ -92,8 +92,6 @@ ReadManifest ManifestReader::read_string(const std::string& text) {
       out.config.emplace_back(key, display_string(value));
     }
   }
-  out.perf_counters = doc.string_or("perf_counters", "");
-  out.perf_counters_reason = doc.string_or("perf_counters_reason", "");
   if (const json::Value* phases = doc.find("phases");
       phases != nullptr && phases->is_array()) {
     for (const json::Value& phase : phases->array()) {
@@ -101,17 +99,6 @@ ReadManifest ManifestReader::read_string(const std::string& text) {
       ReadPhase row;
       row.name = phase.string_or("name", "?");
       row.seconds = phase.number_or("seconds", 0.0);
-      // "instructions" is the group leader: its presence marks a
-      // counter-bearing row (a phase that retired zero instructions
-      // does not occur — the scope itself retires some).
-      if (phase.find("instructions") != nullptr) {
-        row.has_counters = true;
-        row.instructions = phase.u64_or("instructions", 0);
-        row.cycles = phase.u64_or("cycles", 0);
-        row.cache_references = phase.u64_or("cache_references", 0);
-        row.cache_misses = phase.u64_or("cache_misses", 0);
-        row.branch_misses = phase.u64_or("branch_misses", 0);
-      }
       if (phase.find("peak_rss_kb") != nullptr) {
         row.has_mem = true;
         row.peak_rss_kb = phase.u64_or("peak_rss_kb", 0);
@@ -137,12 +124,6 @@ ReadManifest ManifestReader::read_string(const std::string& text) {
       row.store_identical = run.bool_or("store_identical", true);
       out.runs.push_back(row);
     }
-  }
-  if (const json::Value* recording = doc.find("recording");
-      recording != nullptr && recording->is_object()) {
-    out.has_recording = true;
-    out.recording_overhead =
-        recording->number_or("recording_overhead", 0.0);
   }
   if (const json::Value* profile = doc.find("profile");
       profile != nullptr && profile->is_object()) {

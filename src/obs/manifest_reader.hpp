@@ -7,9 +7,9 @@
 // histograms (buckets, count, sum, min, max — the pNN fields are derived
 // and recomputed via HistogramSnapshot::quantile, never trusted from the
 // file). Manifest-only sections (config echo, phases) and bench-only
-// sections (per-thread-count runs, recording overhead) are optional:
-// whatever is present is read, everything else defaults. Unknown fields
-// are skipped — same forward-compatibility policy as the journal reader.
+// sections (per-thread-count runs) are optional: whatever is present is
+// read, everything else defaults. Unknown fields are skipped — same
+// forward-compatibility policy as the journal reader.
 #pragma once
 
 #include <cstdint>
@@ -22,36 +22,15 @@
 
 namespace marcopolo::obs {
 
-/// One wall-clock phase row, with hardware-counter / memory attribution
-/// when the writing host had them (has_counters / has_mem distinguish
-/// "zero" from "absent" — pre-counter documents parse with both false).
+/// One wall-clock phase row, with memory attribution when the writing
+/// host had /proc (has_mem distinguishes "zero" from "absent").
 struct ReadPhase {
   std::string name;
   double seconds = 0.0;
 
-  bool has_counters = false;
-  std::uint64_t instructions = 0;
-  std::uint64_t cycles = 0;
-  std::uint64_t cache_references = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t branch_misses = 0;
-
   bool has_mem = false;
   std::uint64_t peak_rss_kb = 0;
   std::int64_t rss_delta_kb = 0;
-
-  /// Recomputed from the raw counts (like the pNN quantiles, the derived
-  /// ipc/cache_miss_rate fields in the file are never trusted).
-  [[nodiscard]] double ipc() const {
-    return cycles == 0 ? 0.0
-                       : static_cast<double>(instructions) /
-                             static_cast<double>(cycles);
-  }
-  [[nodiscard]] double cache_miss_rate() const {
-    return cache_references == 0 ? 0.0
-                                 : static_cast<double>(cache_misses) /
-                                       static_cast<double>(cache_references);
-  }
 };
 
 /// One campaign_wallclock thread-count run row.
@@ -104,18 +83,9 @@ struct ReadManifest {
   /// Wall-clock phases in document order.
   std::vector<ReadPhase> phases;
 
-  /// Counter availability echoed by the writer ("available" /
-  /// "unavailable"); empty for documents that predate counters. Lets
-  /// diff explain *why* counter columns are missing.
-  std::string perf_counters;
-  /// "perf_counters_reason": why counters were unavailable (errno text).
-  std::string perf_counters_reason;
-
   MetricsSnapshot metrics;
 
   std::vector<BenchRunRow> runs;  ///< campaign_wallclock only.
-  bool has_recording = false;
-  double recording_overhead = 0.0;
 
   /// CPU-profile summary; has_profile distinguishes "absent" (profiler
   /// off/unavailable, or a pre-profiler document) from an empty table.

@@ -1,9 +1,6 @@
 #include "obs/mem_stats.hpp"
 
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 #include <string>
 
 namespace marcopolo::obs {
@@ -55,47 +52,4 @@ MemorySample read_memory_sample() {
   return sample;
 }
 
-#ifdef MARCOPOLO_COUNT_ALLOCS
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-std::atomic<std::uint64_t> g_frees{0};
-std::atomic<std::uint64_t> g_bytes{0};
-}  // namespace
-
-AllocStats alloc_stats() {
-  AllocStats s;
-  s.allocs = g_allocs.load(std::memory_order_relaxed);
-  s.frees = g_frees.load(std::memory_order_relaxed);
-  s.bytes = g_bytes.load(std::memory_order_relaxed);
-  s.enabled = true;
-  return s;
-}
-#else
-AllocStats alloc_stats() { return AllocStats{}; }
-#endif
-
 }  // namespace marcopolo::obs
-
-#ifdef MARCOPOLO_COUNT_ALLOCS
-// Global replacements live in this TU so that linking marcopolo_obs (which
-// every binary already does for alloc_stats) pulls them in. Tallies use
-// relaxed atomics: counts must be cheap, not ordered.
-void* operator new(std::size_t size) {
-  marcopolo::obs::g_allocs.fetch_add(1, std::memory_order_relaxed);
-  marcopolo::obs::g_bytes.fetch_add(size, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc{};
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept {
-  if (p != nullptr)
-    marcopolo::obs::g_frees.fetch_add(1, std::memory_order_relaxed);
-  std::free(p);
-}
-
-void operator delete[](void* p) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
-#endif

@@ -1,27 +1,21 @@
-// Process memory accounting: RSS snapshots from /proc/self/status and an
-// optional allocation-count hook.
+// Process memory accounting: RSS snapshots from /proc/self/status.
 //
 // The campaign's memory story is phase-shaped — the 50k-AS testbed build
 // allocates a path arena the delta-replay phase then mutates in place —
-// so the observability layer reports memory per phase, not per process:
-// PhaseCounters (perf_counters.hpp) captures an RSS sample at scope entry
-// and exit and reports the delta plus the process peak (VmHWM high-water,
-// which only the kernel tracks reliably across frees).
+// so consumers report memory per phase, not per process: the
+// campaign_wallclock bench samples at each gated phase's entry and exit
+// and reports the RSS delta plus the process peak (VmHWM high-water,
+// which only the kernel tracks reliably across frees); the telemetry hub
+// samples once per tick, and perfbench reads the peak for `peak_rss_mb`.
 //
 // Sampling reads /proc/self/status, one syscall + a short parse (~5µs):
-// cheap enough for bench phases, far too hot for per-task scopes — the
-// campaign workers therefore never sample memory, only counters.
+// cheap enough for bench phases and ticks, far too hot for per-task
+// scopes — the campaign workers never sample memory.
 //
 // When /proc is absent (non-Linux, restricted mounts) samples come back
 // `valid == false` and every consumer renders the fields as unavailable;
 // nothing throws and nothing changes behavior — the same off/unavailable
 // contract as the flight recorder.
-//
-// The allocation hook is compile-time opt-in (-DMARCOPOLO_COUNT_ALLOCS,
-// CMake option of the same name): it replaces global operator new/delete
-// with relaxed-atomic tallies of calls and requested bytes. Off (the
-// default) the hook compiles to nothing and alloc_stats() returns zeros
-// with `enabled == false`.
 #pragma once
 
 #include <cstdint>
@@ -45,17 +39,5 @@ struct MemorySample {
 /// text. Exposed for tests (the parser must not depend on a live /proc).
 [[nodiscard]] std::optional<std::uint64_t> parse_proc_status_kb(
     std::string_view status_text, std::string_view key);
-
-/// Cumulative allocation tallies from the operator new/delete hook.
-struct AllocStats {
-  std::uint64_t allocs = 0;  ///< operator new calls.
-  std::uint64_t frees = 0;   ///< operator delete calls.
-  std::uint64_t bytes = 0;   ///< Sum of requested allocation sizes.
-  bool enabled = false;      ///< Compiled with MARCOPOLO_COUNT_ALLOCS.
-};
-
-/// Current process-wide tallies; all-zero with enabled == false unless
-/// the hook was compiled in.
-[[nodiscard]] AllocStats alloc_stats();
 
 }  // namespace marcopolo::obs

@@ -3,14 +3,14 @@
 // one; obs::Session (session.hpp) builds one from a CLI's flags.
 //
 // The pure-observer contract, for every member: the default (null/off)
-// costs nothing, and on, off or degraded (profiler or perf counters
-// unavailable) leaves ResultStore bytes and the other observers'
-// deterministic output unchanged (campaign_*_test).
+// costs nothing, and on, off or degraded (profiler unavailable) leaves
+// ResultStore bytes and the other observers' deterministic output
+// unchanged (campaign_*_test).
 // Nothing observed feeds back into a simulation decision.
 //
-// The campaign reads all six members; the Orchestrator metrics, recorder
-// and telemetry; the DeploymentOptimizer metrics, hw_counters and
-// profiler. One value can serve every pipeline of a run.
+// The campaign reads all five members; the Orchestrator metrics, recorder
+// and telemetry; the DeploymentOptimizer metrics and profiler. One value
+// can serve every pipeline of a run.
 #pragma once
 
 #include <cstddef>
@@ -32,9 +32,6 @@ struct Observers {
   /// (tasks_completed, tasks_total) as campaign tasks retire. Called from
   /// worker threads: it must be thread-safe and not touch the store.
   std::function<void(std::size_t, std::size_t)> progress{};
-  /// Per-worker perf_event groups counting instructions and cycles; no
-  /// syscalls when off, and off (no counter metrics) where denied.
-  bool hw_counters = false;
   /// Sampling CPU profiler; workers attach for their task loop.
   SamplingProfiler* profiler = nullptr;
   /// Live telemetry: planned tasks plus a per-worker completion slot.

@@ -196,7 +196,7 @@ SamplingProfiler::~SamplingProfiler() {
 
 bool SamplingProfiler::probe() {
   // Creating and deleting a per-thread CPU-time timer is the whole
-  // requirement; no privileges are involved (unlike perf_event_open).
+  // requirement; no privileges are involved.
   static const bool ok = [] {
     struct sigevent sev;
     std::memset(&sev, 0, sizeof(sev));

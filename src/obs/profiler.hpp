@@ -1,13 +1,13 @@
 // In-process sampling CPU profiler: which *function* ate the budget.
 //
-// The perf-counter gate (perf_counters.hpp) says *that* a build regressed
-// — instructions retired grew past 3% — and per-phase attribution says in
-// which bench phase. This profiler closes the remaining gap down to
-// function granularity without reaching for external tooling: a per-thread
-// CPU-time sampling profiler whose output feeds the same bundle/diff
-// workflow as every other observability artifact (`profile.folded` for
-// flamegraphs, sample events in trace.json for Perfetto, a top-N
-// hot-symbol table in the run manifest for `mpinspect hotspots` / `diff`).
+// The wall-clock gate (run_compare.hpp) says *that* a build regressed, and
+// per-phase attribution says in which bench phase. This profiler closes
+// the remaining gap down to function granularity without reaching for
+// external tooling: a per-thread CPU-time sampling profiler whose output
+// feeds the same bundle/diff workflow as every other observability
+// artifact (`profile.folded` for flamegraphs, sample events in trace.json
+// for Perfetto, a top-N hot-symbol table in the run manifest for
+// `mpinspect hotspots` / `diff`).
 //
 // Mechanism, per attached thread:
 //   - timer_create(CLOCK_THREAD_CPUTIME_ID, SIGEV_THREAD_ID) arms a POSIX

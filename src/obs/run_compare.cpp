@@ -145,20 +145,12 @@ RunComparison compare_runs(const ReadManifest& base,
   const auto fill_base = [](PhaseDelta& delta, const ReadPhase& phase) {
     delta.base_seconds = phase.seconds;
     delta.in_base = true;
-    delta.base_has_counters = phase.has_counters;
-    delta.base_instructions = phase.instructions;
-    delta.base_ipc = phase.ipc();
-    delta.base_cache_miss_rate = phase.cache_miss_rate();
     delta.base_has_mem = phase.has_mem;
     delta.base_peak_rss_kb = phase.peak_rss_kb;
   };
   const auto fill_cand = [](PhaseDelta& delta, const ReadPhase& phase) {
     delta.cand_seconds = phase.seconds;
     delta.in_cand = true;
-    delta.cand_has_counters = phase.has_counters;
-    delta.cand_instructions = phase.instructions;
-    delta.cand_ipc = phase.ipc();
-    delta.cand_cache_miss_rate = phase.cache_miss_rate();
     delta.cand_has_mem = phase.has_mem;
     delta.cand_peak_rss_kb = phase.peak_rss_kb;
   };
@@ -179,10 +171,6 @@ RunComparison compare_runs(const ReadManifest& base,
     fill_cand(delta, cphase);
     out.phases.push_back(std::move(delta));
   }
-  out.base_perf_counters = base.perf_counters;
-  out.cand_perf_counters = cand.perf_counters;
-  out.base_perf_counters_reason = base.perf_counters_reason;
-  out.cand_perf_counters_reason = cand.perf_counters_reason;
 
   // Hot symbols: union of both top-N tables, ranked by share growth.
   // Shares normalize by each run's own sample total, so a longer
@@ -225,8 +213,6 @@ RunComparison compare_runs(const ReadManifest& base,
 DiffGateResult evaluate_gate(const RunComparison& comparison,
                              const DiffGateConfig& config) {
   DiffGateResult out;
-  bool instructions_breached = false;
-  bool instructions_armed = false;
   for (const BenchRunDelta& run : comparison.runs) {
     if (run.seconds_pct() > config.max_regress_pct) {
       out.pass = false;
@@ -252,79 +238,6 @@ DiffGateResult evaluate_gate(const RunComparison& comparison,
           format_seconds(phase.cand_seconds) + ") exceeds " +
           format_pct(config.max_regress_pct).substr(1));
     }
-    if (phase.base_has_counters && phase.cand_has_counters) {
-      instructions_armed = true;
-      // Instructions retired: deterministic, so gated far below the
-      // wall-clock threshold. Improvements and sub-threshold drift pass
-      // silently; the mpinspect tables still show the numbers.
-      if (phase.instructions_pct() > config.counter_max_regress_pct) {
-        out.pass = false;
-        instructions_breached = true;
-        out.violations.push_back(
-            "phase " + phase.name + " instructions " +
-            format_pct(phase.instructions_pct()) + " (" +
-            std::to_string(phase.base_instructions) + " -> " +
-            std::to_string(phase.cand_instructions) + ") exceeds " +
-            format_pct(config.counter_max_regress_pct).substr(1));
-      }
-      // IPC / cache-miss-rate attribute *why*, but depend on the CPU the
-      // runs happened to land on — diagnostic notes, never violations.
-      if (phase.base_ipc > 0.0) {
-        const double ipc_pct =
-            100.0 * (phase.cand_ipc - phase.base_ipc) / phase.base_ipc;
-        if (ipc_pct < -10.0 || ipc_pct > 10.0) {
-          char row[160];
-          std::snprintf(row, sizeof row, "phase %s ipc %.2f -> %.2f (%s)",
-                        phase.name.c_str(), phase.base_ipc, phase.cand_ipc,
-                        format_pct(ipc_pct).c_str());
-          out.notes.emplace_back(row);
-        }
-      }
-      const double miss_shift =
-          phase.cand_cache_miss_rate - phase.base_cache_miss_rate;
-      if (miss_shift > 0.05 || miss_shift < -0.05) {
-        char row[160];
-        std::snprintf(row, sizeof row,
-                      "phase %s cache-miss rate %.1f%% -> %.1f%%",
-                      phase.name.c_str(), 100.0 * phase.base_cache_miss_rate,
-                      100.0 * phase.cand_cache_miss_rate);
-        out.notes.emplace_back(row);
-      }
-    } else if (phase.base_has_counters != phase.cand_has_counters) {
-      // One side has no counters — explain why when the document says.
-      const bool missing_in_cand = phase.base_has_counters;
-      const std::string& availability = missing_in_cand
-                                            ? comparison.cand_perf_counters
-                                            : comparison.base_perf_counters;
-      std::string note = "phase " + phase.name + " counters only in " +
-                         (missing_in_cand ? "baseline" : "candidate");
-      if (availability == "unavailable") {
-        note += missing_in_cand ? " (candidate host: perf counters "
-                                  "unavailable)"
-                                : " (baseline host: perf counters "
-                                  "unavailable)";
-      } else if (availability.empty()) {
-        note += missing_in_cand
-                    ? " (candidate predates counter support)"
-                    : " (baseline predates counter support)";
-      }
-      out.notes.push_back(std::move(note));
-    }
-  }
-  if (!instructions_armed && (!comparison.base_perf_counters.empty() ||
-                              !comparison.cand_perf_counters.empty())) {
-    const auto side = [](const std::string& value, const std::string& why) {
-      return (value.empty() ? "not recorded" : value) +
-             (why.empty() ? "" : " (" + why + ")");
-    };
-    out.notes.push_back(
-        "instructions gate not armed: no phase has counters on both sides "
-        "(baseline perf_counters: " +
-        side(comparison.base_perf_counters,
-             comparison.base_perf_counters_reason) +
-        "; candidate perf_counters: " +
-        side(comparison.cand_perf_counters,
-             comparison.cand_perf_counters_reason) + ")");
   }
   for (const QuantileDelta& quantile : comparison.quantiles) {
     if (quantile.q < 0.95 || !is_time_histogram(quantile.name)) continue;
@@ -357,23 +270,6 @@ DiffGateResult evaluate_gate(const RunComparison& comparison,
                           std::to_string(counter.base) + " -> " +
                           std::to_string(counter.cand));
     }
-  }
-  // When the instruction gate fired and both runs carry profiles, name
-  // the likeliest culprits right in the gate output: the symbols whose
-  // CPU share grew the most (the diff table has the full ranking).
-  if (instructions_breached && !comparison.hot_symbols.empty()) {
-    std::string note = "hot symbols explaining the instruction growth:";
-    std::size_t named = 0;
-    for (const HotSymbolDelta& s : comparison.hot_symbols) {
-      if (s.share_delta_pp() <= 0.0 || named == 3) break;
-      char item[192];
-      std::snprintf(item, sizeof item, "%s %s (%+.1fpp)",
-                    named == 0 ? "" : ",", s.name.c_str(),
-                    s.share_delta_pp());
-      note += item;
-      ++named;
-    }
-    if (named > 0) out.notes.push_back(std::move(note));
   }
   return out;
 }

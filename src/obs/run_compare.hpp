@@ -5,8 +5,8 @@
 //   - `mpinspect summarize` renders one recorded run (provenance
 //     distribution, phase attribution, histogram quantiles);
 //   - `mpinspect diff` compares a candidate run against a baseline and
-//     gates CI on regressions (counter deltas, quantile shifts,
-//     throughput per thread count);
+//     gates CI on wall-clock regressions (phases, throughput per thread
+//     count, quantile shifts), noting counter drift;
 //   - `mpinspect check` (and quickstart's --trace-out self-check)
 //     structurally validates a trace bundle: schema tag, monotone
 //     timestamps within each lane, meta-vs-actual and
@@ -140,19 +140,8 @@ struct PhaseDelta {
   bool in_base = false;
   bool in_cand = false;
 
-  /// Hardware-counter attribution, present only when the writing host
-  /// had a PMU (ReadPhase::has_counters). Instructions retired are the
-  /// gated quantity — deterministic for a fixed user-mode workload, so
-  /// gateable far below the wall-clock noise floor.
-  bool base_has_counters = false;
-  bool cand_has_counters = false;
-  std::uint64_t base_instructions = 0;
-  std::uint64_t cand_instructions = 0;
-  double base_ipc = 0.0;
-  double cand_ipc = 0.0;
-  double base_cache_miss_rate = 0.0;
-  double cand_cache_miss_rate = 0.0;
-
+  /// Process peak RSS at phase end, present when the writing host had
+  /// /proc (ReadPhase::has_mem).
   bool base_has_mem = false;
   bool cand_has_mem = false;
   std::uint64_t base_peak_rss_kb = 0;
@@ -163,17 +152,6 @@ struct PhaseDelta {
     return base_seconds == 0.0
                ? 0.0
                : 100.0 * (cand_seconds - base_seconds) / base_seconds;
-  }
-
-  /// Instructions-retired change in percent (positive = candidate
-  /// executes more); meaningful only when both sides have counters.
-  [[nodiscard]] double instructions_pct() const {
-    return base_instructions == 0
-               ? 0.0
-               : 100.0 *
-                     (static_cast<double>(cand_instructions) -
-                      static_cast<double>(base_instructions)) /
-                     static_cast<double>(base_instructions);
   }
 };
 
@@ -192,7 +170,7 @@ struct HotSymbolDelta {
   /// Share change in percentage points; positive = the symbol costs a
   /// larger fraction of the candidate run. This is the ranking key of
   /// the hot-symbol regression section: the symbols that grew the most
-  /// are the ones explaining an instructions-gate breach.
+  /// are the likeliest explanation of a wall-clock breach.
   [[nodiscard]] double share_delta_pp() const {
     return 100.0 * (cand_share - base_share);
   }
@@ -203,13 +181,6 @@ struct RunComparison {
   std::vector<QuantileDelta> quantiles;  ///< Common histograms × {p50,p95,p99}.
   std::vector<BenchRunDelta> runs;       ///< Thread-count-matched rows.
   std::vector<PhaseDelta> phases;        ///< Name-matched phases in both runs.
-  /// Counter availability echoed by each document ("available" /
-  /// "unavailable" / "" for pre-counter documents) — lets the gate say
-  /// *why* a side has no counter columns instead of silently noting.
-  std::string base_perf_counters;
-  std::string cand_perf_counters;
-  std::string base_perf_counters_reason;
-  std::string cand_perf_counters_reason;
 
   /// Hot-symbol regression attribution, present when both documents
   /// carry a profile section; sorted by share_delta_pp descending (the
@@ -233,24 +204,8 @@ struct RunComparison {
 /// predates the measurement. Counter drift is reported in `notes` but
 /// never fails the gate — a changed workload makes timing comparisons
 /// meaningless, which is a different problem than a slow one.
-///
-/// Phases where both sides carry hardware counters additionally gate on
-/// instructions retired at the much tighter `counter_max_regress_pct`:
-/// instruction counts for a deterministic user-mode workload have no
-/// scheduler-jitter floor, so a 3% growth is real work, not noise. When
-/// only one side has counters (old baseline, or a host without a PMU —
-/// the availability echo says which) instructions are noted, never
-/// gated. When either document echoes counter availability and no phase
-/// has counters on both sides, one note says the instructions gate never
-/// armed, with each side's availability and reason, so a PASS is not
-/// read as "instructions held". IPC and cache-miss-rate shifts are
-/// diagnostic notes: they attribute *why* a phase got slower
-/// (memory-bound vs compute-bound) but are machine-dependent, so they
-/// never fail the gate.
 struct DiffGateConfig {
   double max_regress_pct = 25.0;
-  /// Gate threshold for per-phase instructions retired, in percent.
-  double counter_max_regress_pct = 3.0;
   /// Histogram quantiles where both sides sit below this many nanoseconds
   /// are ignored: at single-digit-microsecond latencies, scheduler and
   /// timer jitter routinely exceeds any useful percentage threshold.

@@ -78,7 +78,6 @@ void TelemetryHub::start() {
     next_tick_ = 0;
     prev_t_ns_ = 0;
     prev_tasks_done_ = 0;
-    prev_instructions_ = 0;
     prev_phase_ns_[0] = prev_phase_ns_[1] = prev_phase_ns_[2] = 0;
     zero_progress_ticks_ = 0;
 
@@ -231,11 +230,6 @@ void TelemetryHub::tick_locked(bool final_tick) {
   if (config_.recorder != nullptr) {
     snap.verdicts = config_.recorder->verdicts();
     snap.adversary_verdicts = config_.recorder->adversary_verdicts();
-    snap.instructions = config_.recorder->instructions();
-    if (dt_s > 0.0 && snap.instructions > prev_instructions_) {
-      snap.instructions_per_s =
-          static_cast<double>(snap.instructions - prev_instructions_) / dt_s;
-    }
   }
 
   const MemorySample mem = read_memory_sample();
@@ -315,7 +309,6 @@ void TelemetryHub::tick_locked(bool final_tick) {
 
   prev_t_ns_ = snap.t_ns;
   prev_tasks_done_ = snap.tasks_done;
-  prev_instructions_ = snap.instructions;
 }
 
 void TelemetryHub::write_tick_line(const TelemetrySnapshot& snap,
@@ -335,9 +328,6 @@ void TelemetryHub::write_tick_line(const TelemetrySnapshot& snap,
   append_u64_field(&line, "stalls", snap.stalls);
   append_u64_field(&line, "verdicts", snap.verdicts);
   append_u64_field(&line, "adversary_verdicts", snap.adversary_verdicts);
-  append_u64_field(&line, "instructions", snap.instructions);
-  line += ",\"instructions_per_s\":";
-  append_double(&line, snap.instructions_per_s);
   if (snap.mem_valid) {
     append_u64_field(&line, "rss_kb", snap.rss_kb);
     append_u64_field(&line, "peak_rss_kb", snap.peak_rss_kb);

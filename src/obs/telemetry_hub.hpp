@@ -9,8 +9,8 @@
 //
 //   - A sampler thread ticks on a configurable period (default 1s).
 //     Each tick scrapes the metrics registry, the recorder's live
-//     verdict/instruction tallies, per-worker completion slots, and
-//     VmRSS/VmHWM, derives rates from the previous tick, and appends
+//     verdict tallies, per-worker completion slots, and VmRSS/VmHWM,
+//     derives rates from the previous tick, and appends
 //     one schema-versioned NDJSON record to `timeseries.ndjson`
 //     (crash-safe: append + flush per tick, so a killed run keeps every
 //     completed tick). `mpinspect watch` follows that file live.
@@ -20,8 +20,8 @@
 //     `campaign.stalls` counter (interned lazily, so runs that never
 //     stall keep byte-identical manifests).
 //
-// Contract, same as the recorder/profiler/hw-counter layers: the hub is
-// a pure observer and null by default. Pipelines carry a `TelemetryHub*`
+// Contract, same as the recorder/profiler layers: the hub is a pure
+// observer and null by default. Pipelines carry a `TelemetryHub*`
 // defaulting to nullptr; hub on or off leaves ResultStore, manifest, and
 // journal bytes identical. Worker-side cost is two relaxed atomic stores
 // per completed task.
@@ -31,8 +31,8 @@
 //   {"type":"meta","timeseries_schema":1,"tick_ms":...,"start_ns":...}
 //   {"type":"tick","tick":0,"t_ns":...,"tasks_done":...,"tasks_total":...,
 //    "tasks_per_s":...,"workers_live":...,"stalls":...,"verdicts":...,
-//    "adversary_verdicts":...,"instructions":...,"instructions_per_s":...,
-//    "rss_kb":...,"peak_rss_kb":...,"hot_phase":"classify","eta_s":...,
+//    "adversary_verdicts":...,"rss_kb":...,"peak_rss_kb":...,
+//    "hot_phase":"classify","eta_s":...,
 //    "counters":{"campaign.tasks_executed":...,...}}
 // Tick ids are monotone from 0; the last record of a clean shutdown adds
 // "final":true. rss/peak_rss are omitted when /proc is unavailable,
@@ -88,8 +88,6 @@ struct TelemetrySnapshot {
   std::uint64_t stalls = 0;
   std::uint64_t verdicts = 0;
   std::uint64_t adversary_verdicts = 0;
-  std::uint64_t instructions = 0;
-  double instructions_per_s = 0.0;
   std::uint64_t rss_kb = 0;
   std::uint64_t peak_rss_kb = 0;
   bool mem_valid = false;
@@ -177,7 +175,6 @@ class TelemetryHub {
   // Previous-tick state for rate/hot-phase derivation (sampler only).
   std::uint64_t prev_t_ns_ = 0;
   std::uint64_t prev_tasks_done_ = 0;
-  std::uint64_t prev_instructions_ = 0;
   std::uint64_t prev_phase_ns_[3] = {0, 0, 0};
   int zero_progress_ticks_ = 0;
   Counter stall_counter_;  ///< Interned lazily on first stall.

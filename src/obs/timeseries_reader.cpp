@@ -42,8 +42,6 @@ void decode_tick(const json::Value& value, std::size_t line,
   tick.stalls = value.u64_or("stalls", 0);
   tick.verdicts = value.u64_or("verdicts", 0);
   tick.adversary_verdicts = value.u64_or("adversary_verdicts", 0);
-  tick.instructions = value.u64_or("instructions", 0);
-  tick.instructions_per_s = value.number_or("instructions_per_s", 0.0);
   if (const json::Value* rss = value.find("rss_kb"); rss != nullptr) {
     tick.has_mem = true;
     tick.rss_kb = rss->is_number() ? rss->u64() : 0;

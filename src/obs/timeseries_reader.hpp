@@ -39,8 +39,6 @@ struct TimeseriesTick {
   std::uint64_t stalls = 0;
   std::uint64_t verdicts = 0;
   std::uint64_t adversary_verdicts = 0;
-  std::uint64_t instructions = 0;
-  double instructions_per_s = 0.0;
   bool has_mem = false;  ///< rss fields present (writer had /proc).
   std::uint64_t rss_kb = 0;
   std::uint64_t peak_rss_kb = 0;

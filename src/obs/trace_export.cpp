@@ -209,19 +209,6 @@ void write_chrome_trace(std::ostream& out, const FlightJournal& journal,
       if (t.attack != 0) {
         out << ", \"attack\": " << static_cast<int>(t.attack);
       }
-      if (t.instructions != 0) {
-        // Counter args only when the worker had a perf group: traces
-        // from counter-less runs stay byte-identical.
-        out << ", \"instructions\": " << t.instructions
-            << ", \"cycles\": " << t.cycles;
-        if (t.cycles != 0) {
-          char ipc[32];
-          std::snprintf(ipc, sizeof ipc, "%.3f",
-                        static_cast<double>(t.instructions) /
-                            static_cast<double>(t.cycles));
-          out << ", \"ipc\": " << ipc;
-        }
-      }
       out << "}";
       events.close();
     }
@@ -330,13 +317,6 @@ void write_journal_ndjson(std::ostream& out, const FlightJournal& journal) {
         // pre-multi-attack default so single-attack journals keep their
         // old bytes; readers default an absent tag to 0.
         out << ", \"attack\": " << static_cast<int>(t.attack);
-      }
-      if (t.instructions != 0) {
-        // Forward-compatible addition (schema 1, unknown fields are
-        // ignored by old readers); omitted when counters were off so
-        // recorded output stays byte-identical.
-        out << ", \"instructions\": " << t.instructions
-            << ", \"cycles\": " << t.cycles;
       }
       out << "}\n";
     }

@@ -1,8 +1,7 @@
-// The sampling profiler must be a pure observer, exactly like metrics,
-// the flight recorder, and hardware counters: profiling on, off, or
-// degraded to unavailable may not change a single result byte, counter
-// value, or journal record. This mirrors campaign_counters_test and is
-// part of the ASan/UBSan CI job (start/stop/drain under a real
+// The sampling profiler must be a pure observer, exactly like metrics
+// and the flight recorder: profiling on, off, or degraded to unavailable
+// may not change a single result byte, counter value, or journal record.
+// This is part of the ASan/UBSan CI job (start/stop/drain under a real
 // campaign).
 #include "marcopolo/fast_campaign.hpp"
 

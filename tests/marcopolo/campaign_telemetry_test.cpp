@@ -1,8 +1,8 @@
-// The telemetry hub must be a pure observer, exactly like metrics, the
-// flight recorder, and hw counters: hub on or off may not change a
-// single result byte, and the saved CSV — the canonical output artifact
-// — must be byte-identical, not just cell-identical. This is the check
-// the ASan CI job runs.
+// The telemetry hub must be a pure observer, exactly like metrics and
+// the flight recorder: hub on or off may not change a single result
+// byte, and the saved CSV — the canonical output artifact — must be
+// byte-identical, not just cell-identical. This is the check the ASan CI
+// job runs.
 #include "marcopolo/fast_campaign.hpp"
 
 #include <gtest/gtest.h>

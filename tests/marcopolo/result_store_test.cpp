@@ -158,30 +158,30 @@ TEST(ResultStore, SaveEmitsSchemaCommentFirst) {
   EXPECT_EQ(line, "sites,2,perspectives,1,attacks,1");
 }
 
+/// The comment lines and header of a one-plane schema-2 CSV with
+/// `sites` sites and `perspectives` perspectives, column row included.
+std::string one_plane_csv(int sites, int perspectives) {
+  return "# schema=2\n# attack_types=equally-specific\nsites," +
+         std::to_string(sites) + ",perspectives," +
+         std::to_string(perspectives) +
+         ",attacks,1\nvictim,adversary,perspective,attack,outcome\n";
+}
+
 TEST(ResultStore, LoadSkipsCommentLines) {
   // The versioned format carries `# ...` comment lines; the loader must
-  // accept both the new schema comment and extra comments in the body.
+  // accept both the schema comments and extra comments in the body.
   std::stringstream commented(
-      "# schema=1\n"
+      "# schema=2\n"
+      "# attack_types=equally-specific\n"
       "# produced-by: test\n"
-      "sites,2,perspectives,1\n"
-      "victim,adversary,perspective,outcome\n"
-      "0,1,0,2\n"
+      "sites,2,perspectives,1,attacks,1\n"
+      "victim,adversary,perspective,attack,outcome\n"
+      "0,1,0,0,2\n"
       "# trailing note\n"
-      "1,0,0,1\n");
+      "1,0,0,0,1\n");
   const ResultStore store = ResultStore::load_csv(commented);
   EXPECT_EQ(store.outcome(0, 1, 0), OriginReached::Adversary);
   EXPECT_EQ(store.outcome(1, 0, 0), OriginReached::Victim);
-}
-
-TEST(ResultStore, LoadAcceptsLegacyFilesWithoutSchemaComment) {
-  // Pre-versioning files start directly at the sites header.
-  std::stringstream legacy(
-      "sites,2,perspectives,1\n"
-      "victim,adversary,perspective,outcome\n"
-      "0,1,0,2\n");
-  const ResultStore store = ResultStore::load_csv(legacy);
-  EXPECT_TRUE(store.hijacked(0, 1, 0));
 }
 
 TEST(ResultStore, LoadRejectsGarbage) {
@@ -194,25 +194,17 @@ TEST(ResultStore, LoadRejectsGarbage) {
 TEST(ResultStore, LoadRejectsOutOfRangeOutcome) {
   // A corrupt outcome column must not be static_cast into OriginReached:
   // 7 is not a valid enumerator and would silently poison the store.
-  std::stringstream corrupt(
-      "sites,2,perspectives,1\n"
-      "victim,adversary,perspective,outcome\n"
-      "0,1,0,7\n");
+  std::stringstream corrupt(one_plane_csv(2, 1) + "0,1,0,0,7\n");
   EXPECT_THROW((void)ResultStore::load_csv(corrupt), std::runtime_error);
 
-  std::stringstream negative(
-      "sites,2,perspectives,1\n"
-      "victim,adversary,perspective,outcome\n"
-      "0,1,0,-1\n");
+  std::stringstream negative(one_plane_csv(2, 1) + "0,1,0,0,-1\n");
   EXPECT_THROW((void)ResultStore::load_csv(negative), std::runtime_error);
 
   // All legal enumerators still load.
-  std::stringstream fine(
-      "sites,2,perspectives,3\n"
-      "victim,adversary,perspective,outcome\n"
-      "0,1,0,0\n"
-      "0,1,1,1\n"
-      "0,1,2,2\n");
+  std::stringstream fine(one_plane_csv(2, 3) +
+                         "0,1,0,0,0\n"
+                         "0,1,1,0,1\n"
+                         "0,1,2,0,2\n");
   const ResultStore store = ResultStore::load_csv(fine);
   EXPECT_EQ(store.outcome(0, 1, 0), OriginReached::None);
   EXPECT_EQ(store.outcome(0, 1, 1), OriginReached::Victim);
@@ -222,11 +214,14 @@ TEST(ResultStore, LoadRejectsOutOfRangeOutcome) {
 TEST(ResultStore, LoadRejectsWrongHeaderSecondTag) {
   // Seed code never checked the second tag and read garbage counts.
   std::stringstream bad(
-      "sites,2,prospectives,1\n"
-      "victim,adversary,perspective,outcome\n");
+      "# schema=2\n"
+      "# attack_types=equally-specific\n"
+      "sites,2,prospectives,1,attacks,1\n"
+      "victim,adversary,perspective,attack,outcome\n");
   EXPECT_THROW((void)ResultStore::load_csv(bad), std::runtime_error);
 
-  std::stringstream truncated("sites,2\n");
+  std::stringstream truncated(
+      "# schema=2\n# attack_types=equally-specific\nsites,2\n");
   EXPECT_THROW((void)ResultStore::load_csv(truncated), std::runtime_error);
 }
 
@@ -337,6 +332,19 @@ TEST(ResultStore, BinaryRejectsUnknownSchema) {
   bytes[4] = 9;  // schema byte
   std::stringstream future(bytes);
   EXPECT_THROW((void)ResultStore::load_binary(future), std::runtime_error);
+
+  // Schema 1 had no attack dimension: "MPRS", schema byte 1 + 3 reserved
+  // zeros, u32le sites=2, u32le perspectives=1, then 4 cells packed in 2
+  // bytes. It is no longer read.
+  const unsigned char schema1[] = {
+      'M', 'P', 'R', 'S', 1, 0, 0, 0,  // magic + schema
+      2,   0,   0,   0,                // sites
+      1,   0,   0,   0,                // perspectives
+      0x2F, 0xF1,                      // outcome cells
+  };
+  std::stringstream legacy(std::string(
+      reinterpret_cast<const char*>(schema1), sizeof schema1));
+  EXPECT_THROW((void)ResultStore::load_binary(legacy), std::runtime_error);
 }
 
 TEST(ResultStore, BinaryRejectsTruncation) {
@@ -453,43 +461,33 @@ TEST(ResultStore, MultiPlaneCsvRoundTripPreservesPlanesAndTags) {
   }
 }
 
-TEST(ResultStore, Schema1CsvLoadsAsSingleEquallySpecificPlane) {
-  // The exact bytes a pre-multi-attack save_csv produced.
-  std::stringstream legacy(
+TEST(ResultStore, CsvRejectsInconsistentAttackMetadata) {
+  // A schema-1 header (no attacks field, four-column rows): the file
+  // predates attack planes and is no longer read.
+  std::stringstream schema1(
       "# schema=1\n"
-      "sites,2,perspectives,1\n"
-      "victim,adversary,perspective,outcome\n"
-      "0,1,0,2\n"
-      "1,0,0,1\n");
-  const ResultStore store = ResultStore::load_csv(legacy);
-  ASSERT_EQ(store.num_attacks(), 1u);
-  EXPECT_EQ(store.attack_types()[0], bgp::AttackType::EquallySpecific);
-  EXPECT_TRUE(store.hijacked(0, 1, 0));
-  EXPECT_EQ(store.outcome(1, 0, 0), OriginReached::Victim);
-}
-
-TEST(ResultStore, Schema1CsvHonorsAnAttackTypeComment) {
-  // A transitional file: schema-1 shape, but the comment records which
-  // attack the campaign ran. The single plane takes that tag.
-  std::stringstream tagged(
-      "# schema=1\n"
-      "# attack_types=route-leak\n"
       "sites,2,perspectives,1\n"
       "victim,adversary,perspective,outcome\n"
       "0,1,0,2\n");
-  const ResultStore store = ResultStore::load_csv(tagged);
-  ASSERT_EQ(store.num_attacks(), 1u);
-  EXPECT_EQ(store.attack_types()[0], bgp::AttackType::RouteLeak);
-}
+  EXPECT_THROW((void)ResultStore::load_csv(schema1), std::runtime_error);
 
-TEST(ResultStore, CsvRejectsInconsistentAttackMetadata) {
-  // Multiple comment tags but a schema-1 header: there is nowhere to put
-  // the second plane.
+  // Two comment tags but a one-plane header: there is nowhere to put the
+  // second plane.
   std::stringstream two_tags(
+      "# schema=2\n"
       "# attack_types=equally-specific,route-leak\n"
-      "sites,2,perspectives,1\n"
-      "victim,adversary,perspective,outcome\n");
+      "sites,2,perspectives,1,attacks,1\n"
+      "victim,adversary,perspective,attack,outcome\n");
   EXPECT_THROW((void)ResultStore::load_csv(two_tags), std::runtime_error);
+
+  // One type named twice: a bad file, not the constructor's
+  // std::invalid_argument.
+  std::stringstream repeated(
+      "# schema=2\n"
+      "# attack_types=route-leak,route-leak\n"
+      "sites,2,perspectives,1,attacks,2\n"
+      "victim,adversary,perspective,attack,outcome\n");
+  EXPECT_THROW((void)ResultStore::load_csv(repeated), std::runtime_error);
 
   // Header plane count disagreeing with the comment list.
   std::stringstream mismatch(
@@ -547,30 +545,6 @@ TEST(ResultStore, MultiPlaneBinaryRoundTripPreservesPlanesAndTags) {
   }
 }
 
-TEST(ResultStore, Schema1BinaryLoadsAsSingleEquallySpecificPlane) {
-  // Handcrafted legacy bytes: "MPRS", schema byte 1 + 3 reserved zeros,
-  // u32le sites=2, u32le perspectives=1, then 4 cells packed in 2 bytes —
-  // no attack count, no type bytes. Cell order: pair-major, diag cells
-  // unrecorded (0xF).
-  const unsigned char raw[] = {
-      'M', 'P', 'R', 'S', 1,   0,   0,   0,  // magic + schema
-      2,   0,   0,   0,                      // sites
-      1,   0,   0,   0,                      // perspectives
-      0x2F,  // cell 0 (diag, 0xF) | cell 1 (pair 0,1 = Adversary) << 4
-      0xF1,  // cell 2 (pair 1,0 = Victim) | cell 3 (diag, 0xF) << 4
-  };
-  std::stringstream in(std::string(reinterpret_cast<const char*>(raw),
-                                   sizeof raw));
-  const ResultStore store = ResultStore::load_binary(in);
-  ASSERT_EQ(store.num_attacks(), 1u);
-  EXPECT_EQ(store.attack_types()[0], bgp::AttackType::EquallySpecific);
-  EXPECT_EQ(store.num_sites(), 2u);
-  EXPECT_EQ(store.num_perspectives(), 1u);
-  EXPECT_EQ(store.outcome(0, 1, 0), OriginReached::Adversary);
-  EXPECT_EQ(store.outcome(1, 0, 0), OriginReached::Victim);
-  EXPECT_FALSE(store.pair_complete(0, 0)) << "diagonal stays unrecorded";
-}
-
 TEST(ResultStore, BinaryRejectsBadAttackMetadata) {
   ResultStore store(2, 1);
   std::stringstream buffer;
@@ -588,6 +562,17 @@ TEST(ResultStore, BinaryRejectsBadAttackMetadata) {
   unknown[20] = static_cast<char>(200);
   std::stringstream unknown_in(unknown);
   EXPECT_THROW((void)ResultStore::load_binary(unknown_in),
+               std::runtime_error);
+
+  // Two planes both tagged 0 (EquallySpecific), with room for both
+  // planes' cells: a bad file, not the constructor's
+  // std::invalid_argument.
+  std::string repeated = bytes;
+  repeated[16] = 2;
+  repeated.insert(21, 1, '\0');
+  repeated.append(2, static_cast<char>(0xff));
+  std::stringstream repeated_in(repeated);
+  EXPECT_THROW((void)ResultStore::load_binary(repeated_in),
                std::runtime_error);
 }
 

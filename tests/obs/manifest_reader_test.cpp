@@ -51,9 +51,7 @@ TEST(ManifestReader, RoundTripsARunManifest) {
   EXPECT_EQ(read.phases[0].name, "build_testbed");
   EXPECT_EQ(read.phases[0].seconds, 0.125);
   EXPECT_EQ(read.phases[1].seconds, 1.5);
-  // Plain add_phase carries no counters: the rows must read back exactly
-  // as a pre-counter writer's would (forward compat both ways).
-  EXPECT_FALSE(read.phases[0].has_counters);
+  // A run manifest's phase rows carry no memory fields.
   EXPECT_FALSE(read.phases[0].has_mem);
 
   // Counters come back sorted (the snapshot() contract).
@@ -75,69 +73,41 @@ TEST(ManifestReader, RoundTripsARunManifest) {
   EXPECT_DOUBLE_EQ(rh->quantile(0.95), wh->quantile(0.95));
 
   EXPECT_TRUE(read.runs.empty());
-  EXPECT_FALSE(read.has_recording);
 }
 
-TEST(ManifestReader, RoundTripsPhaseCounters) {
-  RunManifest manifest("bench");
-  PhaseStats stats;
-  stats.counters.instructions = 4'000'000'000ULL;
-  stats.counters.cycles = 2'000'000'000ULL;
-  stats.counters.cache_references = 50'000'000ULL;
-  stats.counters.cache_misses = 5'000'000ULL;
-  stats.counters.branch_misses = 1'000'000ULL;
-  stats.counters.valid = true;
-  stats.peak_rss_kb = 262'144;
-  stats.rss_delta_kb = -512;
-  stats.mem_valid = true;
-  manifest.add_phase("resilience_kernel_ms", 0.25, stats);
-  manifest.add_phase("plain_phase", 0.5);  // counter-less row alongside
-
-  std::ostringstream out;
-  manifest.write_json(out, MetricsSnapshot{});
-  const ReadManifest read = ManifestReader::read_string(out.str());
+TEST(ManifestReader, ReadsPhaseMemoryPastOldCounterFields) {
+  // A campaign_wallclock phase row as written while the hardware-counter
+  // path existed: the counter fields are skipped like any unknown field,
+  // and the memory fields beside them still read.
+  const std::string doc = R"({
+    "benchmark": "campaign_wallclock",
+    "perf_counters": "available",
+    "phases": [
+      {"name": "resilience_kernel_ms", "seconds": 0.25, "ms": 250,
+       "instructions": 4000000000, "cycles": 2000000000,
+       "cache_references": 50000000, "cache_misses": 5000000,
+       "branch_misses": 1000000, "ipc": 2.0, "cache_miss_rate": 0.1,
+       "peak_rss_kb": 262144, "rss_delta_kb": -512},
+      {"name": "plain_phase", "seconds": 0.5, "ms": 500}
+    ]
+  })";
+  const ReadManifest read = ManifestReader::read_string(doc);
   ASSERT_TRUE(read.ok()) << read.errors.front();
   ASSERT_EQ(read.phases.size(), 2u);
 
   const ReadPhase& phase = read.phases[0];
-  ASSERT_TRUE(phase.has_counters);
-  EXPECT_EQ(phase.instructions, 4'000'000'000ULL);
-  EXPECT_EQ(phase.cycles, 2'000'000'000ULL);
-  EXPECT_EQ(phase.cache_references, 50'000'000ULL);
-  EXPECT_EQ(phase.cache_misses, 5'000'000ULL);
-  EXPECT_EQ(phase.branch_misses, 1'000'000ULL);
-  // Derived quantities are recomputed from the raw counts, never trusted
-  // from the document (same policy as histogram quantiles).
-  EXPECT_DOUBLE_EQ(phase.ipc(), 2.0);
-  EXPECT_DOUBLE_EQ(phase.cache_miss_rate(), 0.1);
+  EXPECT_EQ(phase.name, "resilience_kernel_ms");
+  EXPECT_EQ(phase.seconds, 0.25);
   ASSERT_TRUE(phase.has_mem);
   EXPECT_EQ(phase.peak_rss_kb, 262'144u);
   EXPECT_EQ(phase.rss_delta_kb, -512);
 
-  EXPECT_FALSE(read.phases[1].has_counters);
   EXPECT_FALSE(read.phases[1].has_mem);
 }
 
-TEST(ManifestReader, InvalidPhaseStatsLeaveTheDocumentByteIdentical) {
-  // The off/unavailable contract: a PhaseStats that never got counters
-  // (counters-off run, or perf_event_open denied) must serialize exactly
-  // like the counter-less overload — byte for byte, not just field for
-  // field.
-  RunManifest with_stats("bench");
-  with_stats.add_phase("p", 0.25, PhaseStats{});
-  RunManifest plain("bench");
-  plain.add_phase("p", 0.25);
-  std::ostringstream a;
-  std::ostringstream b;
-  with_stats.write_json(a, MetricsSnapshot{});
-  plain.write_json(b, MetricsSnapshot{});
-  EXPECT_EQ(a.str(), b.str());
-}
-
 TEST(ManifestReader, PreCounterDocumentsParseCleanly) {
-  // A document written before counter support: phases carry only
-  // name/seconds and there is no "perf_counters" echo. Everything reads
-  // back with availability flags off and an empty echo string.
+  // A document whose phases carry only name/seconds reads back with the
+  // memory flag off.
   const std::string doc = R"({
     "manifest_schema": 1, "tool": "old",
     "config": {}, "phases": [{"name": "fast_campaign", "seconds": 1.5}],
@@ -146,25 +116,7 @@ TEST(ManifestReader, PreCounterDocumentsParseCleanly) {
   const ReadManifest read = ManifestReader::read_string(doc);
   ASSERT_TRUE(read.ok()) << read.errors.front();
   ASSERT_EQ(read.phases.size(), 1u);
-  EXPECT_FALSE(read.phases[0].has_counters);
   EXPECT_FALSE(read.phases[0].has_mem);
-  EXPECT_TRUE(read.perf_counters.empty());
-}
-
-TEST(ManifestReader, ReadsPerfCounterAvailabilityEcho) {
-  const std::string doc = R"({
-    "benchmark": "campaign_wallclock",
-    "perf_counters": "unavailable",
-    "perf_counters_reason": "perf_event_open: No such file or directory",
-    "phases": [{"name": "resilience_kernel_ms", "seconds": 0.1,
-                "instructions": 1000, "cycles": 500}]
-  })";
-  const ReadManifest read = ManifestReader::read_string(doc);
-  ASSERT_TRUE(read.ok()) << read.errors.front();
-  EXPECT_EQ(read.perf_counters, "unavailable");
-  ASSERT_EQ(read.phases.size(), 1u);
-  EXPECT_TRUE(read.phases[0].has_counters);
-  EXPECT_EQ(read.phases[0].instructions, 1000u);
 }
 
 TEST(ManifestReader, ReadsCampaignWallclockDocuments) {
@@ -199,8 +151,8 @@ TEST(ManifestReader, ReadsCampaignWallclockDocuments) {
   EXPECT_DOUBLE_EQ(read.runs[0].throughput(), 2048.0 / 0.5);
   EXPECT_EQ(read.runs[1].threads, 2u);
 
-  EXPECT_TRUE(read.has_recording);
-  EXPECT_EQ(read.recording_overhead, 0.04);
+  // The recording section (with the recording_overhead figure older
+  // documents carry) is skipped like any unknown section.
   EXPECT_EQ(read.metrics.counter("campaign.tasks_executed"), 2048u);
 }
 

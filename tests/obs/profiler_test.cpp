@@ -356,39 +356,6 @@ TEST(HotSymbolDiff, RanksPlantedRiserFirst) {
       << "the faller ('other') belongs at the bottom";
 }
 
-TEST(HotSymbolDiff, GateBreachNoteNamesTheRiser) {
-  // An instructions-gate breach plus profiles on both sides must produce
-  // a note attributing the growth to the biggest riser.
-  ReadManifest base;
-  base.tool = "bench";
-  ReadPhase phase;
-  phase.name = "hot_phase";
-  phase.seconds = 1.0;
-  phase.has_counters = true;
-  phase.instructions = 1'000'000'000;
-  base.phases.push_back(phase);
-  base.has_profile = true;
-  base.profile.samples = 100;
-  base.profile.symbols = {{"steady", 90, 100}, {"planted", 10, 10}};
-
-  ReadManifest cand = base;
-  cand.phases[0].instructions = 1'100'000'000;  // +10% > 3% gate
-  cand.profile.symbols = {{"planted", 60, 60}, {"steady", 40, 100}};
-
-  const RunComparison comparison = compare_runs(base, cand);
-  const DiffGateResult gate = evaluate_gate(comparison, DiffGateConfig{});
-  EXPECT_FALSE(gate.pass);
-  bool attributed = false;
-  for (const std::string& note : gate.notes) {
-    if (note.find("hot symbols") != std::string::npos) {
-      attributed = true;
-      EXPECT_NE(note.find("planted"), std::string::npos) << note;
-    }
-  }
-  EXPECT_TRUE(attributed)
-      << "instructions breach with profiles must emit an attribution note";
-}
-
 TEST(TraceExport, SampleSectionsOnlyWithProfileData) {
   // A null/empty profile leaves trace.json byte-identical to the
   // pre-profiler format; real samples add stackFrames + samples.

@@ -16,18 +16,12 @@
 //       --profile to record one.
 //
 //   mpinspect diff <baseline.json> <candidate.json>
-//             [--max-regress-pct <P>] [--counter-max-regress-pct <C>]
-//             [--json]
+//             [--max-regress-pct <P>] [--json]
 //       Compare two run manifests / campaign_wallclock documents:
-//       per-thread-count wall-clock and throughput, histogram p50/p95/p99
-//       shifts, per-phase hardware counters, counter drift. Exits 1 when
-//       a gated quantity regresses: wall clock by more than P percent
-//       (default 25), or — when both documents carry counters —
-//       instructions retired by more than C percent (default 3; the
-//       deterministic count gates far below wall-clock noise). IPC and
-//       cache-miss-rate shifts are reported as notes, never gated.
-//       One-sided counters (one host lacked a PMU) are noted, not gated.
-//       --json emits a machine-readable report on stdout instead of
+//       per-thread-count wall-clock and throughput, per-phase wall-clock,
+//       histogram p50/p95/p99 shifts, counter drift. Exits 1 when a gated
+//       quantity regresses: wall clock by more than P percent (default
+//       25). --json emits a machine-readable report on stdout instead of
 //       tables.
 //
 //   mpinspect check <trace-dir> [--manifest <run.json>]
@@ -42,13 +36,13 @@
 //   mpinspect watch <dir | file.ndjson> [--interval-ms <n>] [--once]
 //       Live view of a running campaign: re-reads the timeseries.ndjson
 //       its --telemetry-out is growing and redraws one status line per
-//       tick: tasks done/total, tasks/s, ETA, instructions/s, RSS, live
-//       workers, stalls, hot phase. A target not ending in ".ndjson" is
-//       a bundle dir, as for the writer; it may not exist yet. Only
-//       complete lines are parsed, so a tick still being appended waits
-//       for the next poll. Exits 0 when the final tick lands, 1 on a
-//       malformed file or if the file never appears. --once renders the
-//       current last tick and exits immediately.
+//       tick: tasks done/total, tasks/s, ETA, RSS, live workers, stalls,
+//       hot phase. A target not ending in ".ndjson" is a bundle dir, as
+//       for the writer; it may not exist yet. Only complete lines are
+//       parsed, so a tick still being appended waits for the next poll.
+//       Exits 0 when the final tick lands, 1 on a malformed file or if
+//       the file never appears. --once renders the current last tick and
+//       exits immediately.
 //
 //   mpinspect tail <dir | file.ndjson> [--last <N>]
 //       Table of the last N ticks (default 10) of a recorded
@@ -101,8 +95,7 @@ int usage() {
       "  mpinspect hotspots <trace-dir | manifest.json>"
       " [--top <N>] [--json]\n"
       "  mpinspect diff <baseline.json> <candidate.json>"
-      " [--max-regress-pct <P>]\n"
-      "            [--counter-max-regress-pct <P>] [--json]\n"
+      " [--max-regress-pct <P>] [--json]\n"
       "  mpinspect check <trace-dir> [--manifest <run.json>]\n"
       "  mpinspect watch <dir | file.ndjson>"
       " [--interval-ms <n>] [--once]\n"
@@ -133,24 +126,6 @@ std::string format_signed_pct(double pct) {
 std::string format_double(double value, const char* fmt = "%.3f") {
   char buf[64];
   std::snprintf(buf, sizeof buf, fmt, value);
-  return buf;
-}
-
-std::string format_count(std::uint64_t value) {
-  // Instruction counts are billions-scale; render with engineering
-  // suffixes so the phase table stays readable.
-  char buf[48];
-  const double v = static_cast<double>(value);
-  if (value >= 10'000'000'000ULL) {
-    std::snprintf(buf, sizeof buf, "%.2fG", v / 1e9);
-  } else if (value >= 10'000'000ULL) {
-    std::snprintf(buf, sizeof buf, "%.2fM", v / 1e6);
-  } else if (value >= 10'000ULL) {
-    std::snprintf(buf, sizeof buf, "%.2fk", v / 1e3);
-  } else {
-    std::snprintf(buf, sizeof buf, "%llu",
-                  static_cast<unsigned long long>(value));
-  }
   return buf;
 }
 
@@ -242,12 +217,6 @@ void summarize_manifest_json(const obs::ReadManifest& manifest) {
     std::printf("%s\n    {\"name\": \"%s\", \"seconds\": %g",
                 i == 0 ? "" : ",", obs::json_escape(phase.name).c_str(),
                 phase.seconds);
-    if (phase.has_counters) {
-      std::printf(", \"instructions\": %llu, \"ipc\": %g, "
-                  "\"cache_miss_rate\": %g",
-                  static_cast<unsigned long long>(phase.instructions),
-                  phase.ipc(), phase.cache_miss_rate());
-    }
     if (phase.has_mem) {
       std::printf(", \"peak_rss_kb\": %llu",
                   static_cast<unsigned long long>(phase.peak_rss_kb));
@@ -265,10 +234,6 @@ void summarize_manifest_json(const obs::ReadManifest& manifest) {
                 run.throughput(), run.store_identical ? "true" : "false");
   }
   std::printf("%s],\n", manifest.runs.empty() ? "" : "\n  ");
-  if (manifest.has_recording) {
-    std::printf("  \"recording_overhead\": %g,\n",
-                manifest.recording_overhead);
-  }
   std::printf("  \"histograms\": [");
   for (std::size_t i = 0; i < manifest.metrics.histograms.size(); ++i) {
     const obs::HistogramSnapshot& h = manifest.metrics.histograms[i];
@@ -388,30 +353,16 @@ void summarize_manifest(const obs::ReadManifest& manifest) {
     std::printf("\n%s", table.to_string().c_str());
   }
   if (!manifest.phases.empty()) {
-    bool any_counters = false;
     bool any_mem = false;
     for (const obs::ReadPhase& phase : manifest.phases) {
-      any_counters = any_counters || phase.has_counters;
       any_mem = any_mem || phase.has_mem;
     }
     std::vector<std::string> header = {"Phase", "Seconds"};
-    if (any_counters) {
-      header.insert(header.end(), {"Instr", "IPC", "Cache miss"});
-    }
     if (any_mem) header.push_back("Peak RSS");
     analysis::TextTable table(header);
     for (const obs::ReadPhase& phase : manifest.phases) {
       std::vector<std::string> row = {phase.name,
                                       format_double(phase.seconds)};
-      if (any_counters) {
-        if (phase.has_counters) {
-          row.push_back(format_count(phase.instructions));
-          row.push_back(format_double(phase.ipc(), "%.2f"));
-          row.push_back(format_pct01(phase.cache_miss_rate()));
-        } else {
-          row.insert(row.end(), {"-", "-", "-"});
-        }
-      }
       if (any_mem) {
         row.push_back(phase.has_mem
                           ? format_double(static_cast<double>(
@@ -423,9 +374,6 @@ void summarize_manifest(const obs::ReadManifest& manifest) {
       table.add_row(row);
     }
     std::printf("\n%s", table.to_string().c_str());
-    if (!manifest.perf_counters.empty()) {
-      std::printf("perf counters: %s\n", manifest.perf_counters.c_str());
-    }
   }
   if (!manifest.runs.empty()) {
     analysis::TextTable table(
@@ -437,11 +385,6 @@ void summarize_manifest(const obs::ReadManifest& manifest) {
                      run.store_identical ? "yes" : "NO"});
     }
     std::printf("\n%s", table.to_string().c_str());
-    if (manifest.has_recording) {
-      std::printf("recording overhead: %s\n",
-                  format_signed_pct(100.0 * manifest.recording_overhead)
-                      .c_str());
-    }
   }
   if (!manifest.metrics.histograms.empty()) {
     analysis::TextTable table(
@@ -666,36 +609,14 @@ void print_diff_tables(const obs::RunComparison& comparison) {
                 table.to_string().c_str());
   }
   if (!comparison.phases.empty()) {
-    bool any_counters = false;
+    analysis::TextTable table({"Phase", "Base s", "Cand s", "Delta"});
     for (const obs::PhaseDelta& phase : comparison.phases) {
-      any_counters = any_counters || phase.base_has_counters ||
-                     phase.cand_has_counters;
-    }
-    std::vector<std::string> header = {"Phase", "Base s", "Cand s", "Delta"};
-    if (any_counters) {
-      header.insert(header.end(), {"Instr delta", "IPC", "Cache miss"});
-    }
-    analysis::TextTable table(header);
-    for (const obs::PhaseDelta& phase : comparison.phases) {
-      std::vector<std::string> row = {
-          phase.name,
-          phase.in_base ? format_double(phase.base_seconds) : "-",
-          phase.in_cand ? format_double(phase.cand_seconds) : "-",
-          phase.in_base && phase.in_cand ? format_signed_pct(phase.pct())
-                                         : "-"};
-      if (any_counters) {
-        const bool both = phase.base_has_counters && phase.cand_has_counters;
-        row.push_back(both ? format_signed_pct(phase.instructions_pct())
-                           : "-");
-        row.push_back(both ? format_double(phase.base_ipc, "%.2f") + " -> " +
-                                 format_double(phase.cand_ipc, "%.2f")
-                           : "-");
-        row.push_back(
-            both ? format_pct01(phase.base_cache_miss_rate) + " -> " +
-                       format_pct01(phase.cand_cache_miss_rate)
-                 : "-");
-      }
-      table.add_row(row);
+      table.add_row(
+          {phase.name,
+           phase.in_base ? format_double(phase.base_seconds) : "-",
+           phase.in_cand ? format_double(phase.cand_seconds) : "-",
+           phase.in_base && phase.in_cand ? format_signed_pct(phase.pct())
+                                          : "-"});
     }
     std::printf("Phases:\n%s\n", table.to_string().c_str());
   }
@@ -775,8 +696,6 @@ void print_diff_json(const obs::RunComparison& comparison,
   std::printf("  \"candidate\": \"%s\",\n",
               obs::json_escape(cand_path).c_str());
   std::printf("  \"max_regress_pct\": %g,\n", config.max_regress_pct);
-  std::printf("  \"counter_max_regress_pct\": %g,\n",
-              config.counter_max_regress_pct);
   std::printf("  \"pass\": %s,\n", gate.pass ? "true" : "false");
   std::printf("  \"runs\": [");
   for (std::size_t i = 0; i < comparison.runs.size(); ++i) {
@@ -798,14 +717,6 @@ void print_diff_json(const obs::RunComparison& comparison,
                 phase.base_seconds, phase.cand_seconds, phase.pct(),
                 phase.in_base ? "true" : "false",
                 phase.in_cand ? "true" : "false");
-    if (phase.base_has_counters && phase.cand_has_counters) {
-      std::printf(", \"base_instructions\": %llu, "
-                  "\"cand_instructions\": %llu, \"instructions_pct\": %g, "
-                  "\"base_ipc\": %g, \"cand_ipc\": %g",
-                  static_cast<unsigned long long>(phase.base_instructions),
-                  static_cast<unsigned long long>(phase.cand_instructions),
-                  phase.instructions_pct(), phase.base_ipc, phase.cand_ipc);
-    }
     if (phase.base_has_mem && phase.cand_has_mem) {
       std::printf(", \"base_peak_rss_kb\": %llu, \"cand_peak_rss_kb\": %llu",
                   static_cast<unsigned long long>(phase.base_peak_rss_kb),
@@ -881,14 +792,6 @@ int cmd_diff(const std::vector<std::string>& args) {
         config.max_regress_pct = std::stod(args[++i]);
       } catch (const std::exception&) {
         std::fprintf(stderr, "bad --max-regress-pct: %s\n", args[i].c_str());
-        return 2;
-      }
-    } else if (args[i] == "--counter-max-regress-pct" && i + 1 < args.size()) {
-      try {
-        config.counter_max_regress_pct = std::stod(args[++i]);
-      } catch (const std::exception&) {
-        std::fprintf(stderr, "bad --counter-max-regress-pct: %s\n",
-                     args[i].c_str());
         return 2;
       }
     } else if (args[i] == "--json") {
@@ -1023,11 +926,6 @@ std::string render_tick(const obs::TimeseriesTick& tick) {
   }
   line += "  " + format_double(tick.tasks_per_s, "%.1f") + " tasks/s";
   if (tick.has_eta) line += "  ETA " + format_eta(tick.eta_s);
-  if (tick.instructions != 0) {
-    line += "  " +
-            format_count(static_cast<std::uint64_t>(tick.instructions_per_s)) +
-            " instr/s";
-  }
   if (tick.has_mem) {
     line += "  RSS " + format_mib(tick.rss_kb) + " (peak " +
             format_mib(tick.peak_rss_kb) + ")";

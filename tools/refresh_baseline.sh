@@ -4,11 +4,8 @@
 # Runs the campaign_wallclock bench best-of-N and keeps the run with the
 # fastest serial campaign, so a one-off scheduler hiccup never becomes the
 # number every future PR is compared against. The bench JSON is already
-# self-describing — git describe, hostname, and perf-counter availability
-# are embedded by the bench itself — so the kept run IS the provenance
-# record: a later `mpinspect diff` against it can tell whether counter
-# deltas are meaningful (same-host, counters available on both sides) or
-# must degrade to wall-clock-only notes.
+# self-describing — git describe and hostname are embedded by the bench
+# itself — so the kept run IS the provenance record.
 #
 # Usage: refresh_baseline.sh <campaign_wallclock-binary> <output.json> [reps]
 #
@@ -57,4 +54,4 @@ done
 mkdir -p "$(dirname "$OUT")"
 cp "$best" "$OUT"
 echo "refresh_baseline: kept rep with serial campaign ${best_secs}s -> $OUT" >&2
-grep -E '"(version|hostname|perf_counters)"' "$OUT" >&2 || true
+grep -E '"(version|hostname)"' "$OUT" >&2 || true
