@@ -32,9 +32,9 @@
 // --attacks <csv|all>) over the same 50k-AS testbed the scaled group
 // uses — one campaign, one result-store plane per attack — and gates the
 // total as multi_attack_campaign_ms. Because every plane reuses the
-// announcer's propagation baseline, the per-attack cost should stay well
-// below a standalone campaign; the "per_attack_ratio_vs_scaled" field
-// states the measured ratio whenever the scaled group also ran.
+// announcer's victim baseline, the per-attack cost should stay below a
+// standalone campaign's; the "per_attack_ratio_vs_scaled" field states
+// the measured ratio whenever the scaled group also ran.
 //
 // Every gated single-threaded phase row carries the process peak RSS at
 // phase end and the RSS change across the phase next to the wall-clock

@@ -7,13 +7,6 @@
 
 namespace marcopolo::bgp {
 
-bool DeltaPropagation::chain_contains(std::uint32_t head, Asn asn) const {
-  for (std::uint32_t i = head; i != kNone; i = arena_[i].parent) {
-    if (arena_[i].asn == asn) return true;
-  }
-  return false;
-}
-
 bool DeltaPropagation::export_equal(const Compact& a, const Compact& b) const {
   // An export's downstream effect is a pure function of (exists, role,
   // otc, path): the receiver derives source from the edge and pop from its
@@ -25,16 +18,16 @@ bool DeltaPropagation::export_equal(const Compact& a, const Compact& b) const {
   std::uint32_t y = b.head;
   while (x != y) {  // same arena index = structurally shared tail: equal
     if (x == kNone || y == kNone) return false;
-    if (arena_[x].asn != arena_[y].asn) return false;
-    x = arena_[x].parent;
-    y = arena_[y].parent;
+    const PathNode& px = hop(x);
+    const PathNode& py = hop(y);
+    if (px.asn != py.asn) return false;
+    x = px.parent;
+    y = py.parent;
   }
   return true;
 }
 
-DeltaPropagation::Compact DeltaPropagation::make_seed(NodeId at,
-                                                      const Announcement& ann) {
-  (void)at;
+DeltaPropagation::Compact DeltaPropagation::make_seed(const Announcement& ann) {
   Compact c;
   c.exists = true;
   c.source = RouteSource::Self;
@@ -45,7 +38,7 @@ DeltaPropagation::Compact DeltaPropagation::make_seed(NodeId at,
   c.pop = PopId{};
   std::uint32_t head = kNone;
   for (auto it = ann.as_path.rbegin(); it != ann.as_path.rend(); ++it) {
-    head = intern(*it, head);
+    head = intern<World::Current>(*it, head);
   }
   c.head = head;
   c.origin = ann.as_path.empty() ? Asn{0} : ann.as_path.back();
@@ -53,6 +46,7 @@ DeltaPropagation::Compact DeltaPropagation::make_seed(NodeId at,
   return c;
 }
 
+template <DeltaPropagation::World W>
 DeltaPropagation::Compact DeltaPropagation::recompute(
     NodeId n, bool customer_class, const RouteComparator& cmp) const {
   // The winner is tracked as (key, producer) and its path is interned only
@@ -96,25 +90,42 @@ DeltaPropagation::Compact DeltaPropagation::recompute(
                                          RouteSource::Self, PopId{},
                                          victim_seed_.otc});
     }
-    if (delta_seed_epoch_ == epoch_ && n == delta_seed_at_) {
+    if (W == World::Current && delta_seed_epoch_ == epoch_ &&
+        n == delta_seed_at_) {
       offer(delta_seed_.key(), Producer{&delta_seed_, NodeId{},
                                         RouteSource::Self, PopId{},
                                         delta_seed_.otc});
     }
   }
+  // The baseline world reads only baseline state, so its paths never
+  // reach into the replay arena.
+  const auto up = [this](NodeId m) -> const Compact& {
+    if constexpr (W == World::Baseline) {
+      return up_base_[m.value];
+    } else {
+      return up_state(m);
+    }
+  };
+  const auto down = [this](NodeId m) -> const Compact& {
+    if constexpr (W == World::Baseline) {
+      return base_down(m);
+    } else {
+      return down_state(m);
+    }
+  };
   for (const Neighbor& nb : graph_->neighbors(n)) {
     RouteSource source;
     const Compact* e;
     if (customer_class) {
       if (nb.rel != Relationship::Customer) continue;
       source = RouteSource::Customer;
-      e = &up_state(nb.id);
+      e = &up(nb.id);
     } else if (nb.rel == Relationship::Peer) {
       source = RouteSource::Peer;
-      e = &up_state(nb.id);
+      e = &up(nb.id);
     } else if (nb.rel == Relationship::Provider) {
       source = RouteSource::Provider;
-      e = &down_state(nb.id);
+      e = &down(nb.id);
     } else {
       continue;
     }
@@ -166,24 +177,42 @@ DeltaPropagation::Compact DeltaPropagation::recompute(
   out.from = best.exporter;
   out.from_asn = graph_->asn_of(best.exporter);
   out.pop = best.pop;
-  out.head = intern(out.from_asn, e.head);
+  out.head = intern<W>(out.from_asn, e.head);
   out.origin = e.head == kNone ? out.from_asn : e.origin;
   out.otc = best.otc;
   return out;
 }
 
-void DeltaPropagation::run_baseline(const RouteComparator& cmp) {
-  // Ascending rank: every customer's up export exists before its providers
-  // read it (mirrors the engine's phase_up). Descending for the down pass.
-  const auto& ascending = ranks_->ascending;
-  for (const std::uint32_t idx : ascending) {
-    up_base_[idx] = recompute(NodeId{idx}, true, cmp);
+template <typename Visit>
+void DeltaPropagation::sweep_up(NodeId from, Visit&& visit) {
+  const std::vector<std::uint32_t>& rank = ranks_->rank;
+  const auto enqueue = [&](NodeId n) {
+    if (up_queued_[n.value] == epoch_) return;
+    up_queued_[n.value] = epoch_;
+    up_buckets_[rank[n.value]].push_back(n.value);
+  };
+  enqueue(from);
+  // Providers rank strictly above their customers, so no bucket below
+  // `from`'s is ever filled; each bucket is drained and cleared in turn.
+  for (std::size_t r = rank[from.value]; r < up_buckets_.size(); ++r) {
+    std::vector<std::uint32_t>& bucket = up_buckets_[r];
+    for (std::size_t bi = 0; bi < bucket.size(); ++bi) {
+      const NodeId n{bucket[bi]};
+      if (!visit(n)) continue;
+      for (const Neighbor& nb : graph_->neighbors(n)) {
+        if (nb.rel == Relationship::Provider) enqueue(nb.id);
+      }
+    }
+    bucket.clear();
   }
-  for (auto it = ascending.rbegin(); it != ascending.rend(); ++it) {
-    const Compact& c = up_base_[*it];
-    // LocalPref dominance: any customer-class route beats every peer- or
-    // provider-learned candidate, so D(n) = C(n) whenever C(n) exists.
-    down_base_[*it] = c.exists ? c : recompute(NodeId{*it}, false, cmp);
+}
+
+void DeltaPropagation::advance_epoch() {
+  if (++epoch_ == 0) {  // wrapped: no stale stamp may alias the new epoch
+    std::fill(up_mark_.begin(), up_mark_.end(), 0);
+    std::fill(down_mark_.begin(), down_mark_.end(), 0);
+    std::fill(up_queued_.begin(), up_queued_.end(), 0);
+    epoch_ = 1;
   }
 }
 
@@ -199,36 +228,58 @@ void DeltaPropagation::set_victim_baseline(const AsGraph& graph, NodeId victim,
   roas_ = config.roas;
   metrics_ = config.metrics;
   flight_ = config.flight;
-  ranks_ = graph.rank_order();
+  std::shared_ptr<const AsGraph::RankOrder> ranks = graph.rank_order();
+  if (ranks != ranks_) {
+    ranks_ = std::move(ranks);
+    std::uint32_t max_rank = 0;
+    for (const std::uint32_t r : ranks_->rank) max_rank = std::max(max_rank, r);
+    up_buckets_.resize(max_rank + 1);
+  }
 
+  // Rebinding costs O(previous closure): the per-node tables are sized
+  // only when the graph size changes, up_base_ is reset from the previous
+  // victim's closure, and every other slot is invalidated by a stamp.
   const std::size_t n = graph.size();
-  arena_.clear();
-  up_base_.assign(n, Compact{});
-  down_base_.assign(n, Compact{});
-  up_delta_.assign(n, Compact{});
-  down_delta_.assign(n, Compact{});
-  epoch_ = 0;
-  up_mark_.assign(n, kNone);
-  down_mark_.assign(n, kNone);
-  up_queued_.assign(n, kNone);
-  std::uint32_t max_rank = 0;
-  for (const std::uint32_t r : ranks_->rank) max_rank = std::max(max_rank, r);
-  up_buckets_.resize(max_rank + 1);
-  for (auto& b : up_buckets_) b.clear();
-  delta_seed_epoch_ = kNone;
+  if (up_base_.size() != n) {
+    up_base_.assign(n, Compact{});
+    down_base_.assign(n, Compact{});
+    base_mark_.assign(n, 0);
+    up_delta_.assign(n, Compact{});
+    down_delta_.assign(n, Compact{});
+    up_mark_.assign(n, 0);
+    down_mark_.assign(n, 0);
+    up_queued_.assign(n, 0);
+  } else {
+    for (const std::uint32_t idx : closure_) up_base_[idx] = Compact{};
+  }
+  closure_.clear();
+  if (++base_epoch_ == 0) {  // wrapped, as in advance_epoch()
+    std::fill(base_mark_.begin(), base_mark_.end(), 0);
+    base_epoch_ = 1;
+  }
+  advance_epoch();
+  base_arena_.clear();
+  replay_arena_.clear();
+  delta_seed_epoch_ = 0;
   stats_ = ReplayStats{};
   counts_ = Counts{};
 
   const std::uint64_t start_ns = flight_ != nullptr ? obs::flight_now_ns() : 0;
-  victim_seed_ =
-      make_seed(victim, Announcement{prefix, {}, OriginRole::Victim});
+  // An empty path: the victim's seed interns nothing in either arena.
+  victim_seed_ = make_seed(Announcement{prefix, {}, OriginRole::Victim});
   // The baseline carries a single origin role, so no comparison ever
   // reaches the route-age step and any comparator built from the config
   // yields the identical result (salt-independence; DESIGN.md §11).
-  const RouteComparator cmp(config.tie_break, config.tie_break_seed);
-  replay_cmp_ = cmp;
-  run_baseline(cmp);
-  baseline_watermark_ = static_cast<std::uint32_t>(arena_.size());
+  base_cmp_ = RouteComparator(config.tie_break, config.tie_break_seed);
+  // The up-closure: the victim's provider ancestry, through every node
+  // that holds a customer-learned route. Down states stay lazy (base_eval).
+  sweep_up(victim, [&](NodeId v) {
+    const Compact c = recompute<World::Baseline>(v, true, base_cmp_);
+    if (!c.exists) return false;
+    up_base_[v.value] = c;
+    closure_.push_back(v.value);
+    return true;
+  });
   if (flight_ != nullptr) {
     obs::PropagationRunRecord rec;
     rec.start_ns = start_ns;
@@ -254,44 +305,28 @@ void DeltaPropagation::replay(NodeId adversary, const Announcement& ann,
     throw std::invalid_argument("replay adversary invalid");
   }
 
-  ++epoch_;
-  arena_.resize(baseline_watermark_);
+  advance_epoch();
+  replay_arena_.clear();
   stats_ = ReplayStats{};
-  for (auto& b : up_buckets_) b.clear();
   const std::uint64_t start_ns = flight_ != nullptr ? obs::flight_now_ns() : 0;
 
   delta_seed_at_ = adversary;
-  delta_seed_ = make_seed(adversary, ann);
+  delta_seed_ = make_seed(ann);
   delta_seed_epoch_ = epoch_;
   replay_cmp_ = cmp;
 
-  const std::vector<std::uint32_t>& rank = ranks_->rank;
-  const auto enqueue_up = [&](NodeId n) {
-    if (up_queued_[n.value] == epoch_) return;
-    up_queued_[n.value] = epoch_;
-    up_buckets_[rank[n.value]].push_back(n.value);
-  };
-
-  // Up sweep: ascending rank from the adversary. A node's up export
-  // depends only on strictly lower-ranked nodes (its customers) and its
-  // own seeds, so bucket order makes every dependency final before use.
-  // This is the only eager phase; down state is evaluated lazily per query
-  // (down_eval), so replay cost scales with the adversary's provider
-  // ancestry, not with how much of the Internet the hijack captures.
-  enqueue_up(adversary);
-  for (std::size_t r = 0; r < up_buckets_.size(); ++r) {
-    for (std::size_t bi = 0; bi < up_buckets_[r].size(); ++bi) {
-      const NodeId n{up_buckets_[r][bi]};
-      ++stats_.up_recomputed;
-      up_delta_[n.value] = recompute(n, true, cmp);
-      up_mark_[n.value] = epoch_;
-      if (export_equal(up_delta_[n.value], up_base_[n.value])) continue;
-      ++stats_.up_changed;
-      for (const Neighbor& nb : graph_->neighbors(n)) {
-        if (nb.rel == Relationship::Provider) enqueue_up(nb.id);
-      }
-    }
-  }
+  // Up sweep from the adversary. This is the only eager phase; down state
+  // is evaluated lazily per query (down_eval), so replay cost scales with
+  // the adversary's provider ancestry, not with how much of the Internet
+  // the hijack captures.
+  sweep_up(adversary, [&](NodeId n) {
+    ++stats_.up_recomputed;
+    up_delta_[n.value] = recompute<World::Current>(n, true, cmp);
+    up_mark_[n.value] = epoch_;
+    if (export_equal(up_delta_[n.value], up_base_[n.value])) return false;
+    ++stats_.up_changed;
+    return true;
+  });
 
   // The flight record and metrics flush drain whatever accumulated since
   // the last flush: this replay's up sweep plus the lazy evaluations the
@@ -317,22 +352,32 @@ const DeltaPropagation::Compact& DeltaPropagation::down_eval(NodeId n) const {
   // the recursion is well-founded, its depth bounded by the provider-chain
   // length, and memoization caps total work at the queried cone.
   const Compact& cprime = up_state(n);
-  const Compact d =
-      cprime.exists ? cprime : recompute(n, false, replay_cmp_);
+  const Compact d = cprime.exists
+                        ? cprime
+                        : recompute<World::Current>(n, false, replay_cmp_);
   down_delta_[n.value] = d;
   down_mark_[n.value] = epoch_;
   ++stats_.down_recomputed;
-  if (!export_equal(d, down_base_[n.value])) ++stats_.down_changed;
   return down_delta_[n.value];
+}
+
+const DeltaPropagation::Compact& DeltaPropagation::base_eval(NodeId n) const {
+  // down_eval's recursion over the victim-only world.
+  const Compact& c = up_base_[n.value];
+  const Compact d =
+      c.exists ? c : recompute<World::Baseline>(n, false, base_cmp_);
+  down_base_[n.value] = d;
+  base_mark_[n.value] = base_epoch_;
+  return down_base_[n.value];
 }
 
 void DeltaPropagation::replay_none() {
   if (!has_baseline()) {
     throw std::logic_error("replay_none() without a victim baseline");
   }
-  ++epoch_;
-  arena_.resize(baseline_watermark_);
-  delta_seed_epoch_ = kNone;
+  advance_epoch();
+  replay_arena_.clear();
+  delta_seed_epoch_ = 0;
   stats_ = ReplayStats{};
 }
 
@@ -357,7 +402,7 @@ void DeltaPropagation::materialize_baseline_best(
     throw std::logic_error(
         "materialize_baseline_best() without a victim baseline");
   }
-  materialize_compact(down_base_[n.value], out);
+  materialize_compact(base_down(n), out);
 }
 
 void DeltaPropagation::materialize_compact(
@@ -370,9 +415,10 @@ void DeltaPropagation::materialize_compact(
   c.ann.prefix = prefix_;
   c.ann.role = d.role;
   c.ann.otc = d.otc;
-  for (std::uint32_t i = d.head; i != kNone; i = arena_[i].parent) {
-    c.ann.as_path.push_back(arena_[i].asn);
-  }
+  any_hop(d.head, [&c](Asn a) {
+    c.ann.as_path.push_back(a);
+    return false;
+  });
   c.source = d.source;
   c.from = d.from;
   c.from_asn = d.from_asn;
@@ -391,9 +437,10 @@ void DeltaPropagation::materialize_rib(NodeId n,
     c.ann.prefix = prefix_;
     c.ann.role = s.role;
     c.ann.otc = s.otc;
-    for (std::uint32_t i = s.head; i != kNone; i = arena_[i].parent) {
-      c.ann.as_path.push_back(arena_[i].asn);
-    }
+    any_hop(s.head, [&c](Asn a) {
+      c.ann.as_path.push_back(a);
+      return false;
+    });
     c.source = RouteSource::Self;
     c.from = NodeId{};
     c.from_asn = Asn{0};
@@ -441,9 +488,10 @@ void DeltaPropagation::materialize_rib(NodeId n,
     c.ann.role = e->role;
     c.ann.otc = *stored;
     c.ann.as_path.push_back(sender);
-    for (std::uint32_t i = e->head; i != kNone; i = arena_[i].parent) {
-      c.ann.as_path.push_back(arena_[i].asn);
-    }
+    any_hop(e->head, [&c](Asn a) {
+      c.ann.as_path.push_back(a);
+      return false;
+    });
     c.source = source;
     c.from = nb.id;
     c.from_asn = sender;

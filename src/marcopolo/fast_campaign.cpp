@@ -26,6 +26,7 @@ struct CampaignMetrics {
   obs::Counter rows_recorded;
   obs::Counter worker_threads;
   obs::Histogram task_ns;
+  obs::Histogram baseline_ns;
   obs::Histogram propagate_ns;
   obs::Histogram classify_ns;
   obs::Histogram record_ns;
@@ -54,6 +55,8 @@ struct CampaignMetrics {
     m.worker_threads =
         obs::MetricsRegistry::counter(reg, "campaign.worker_threads");
     m.task_ns = obs::MetricsRegistry::histogram(reg, "campaign.task_ns");
+    m.baseline_ns =
+        obs::MetricsRegistry::histogram(reg, "campaign.phase.baseline_ns");
     m.propagate_ns =
         obs::MetricsRegistry::histogram(reg, "campaign.phase.propagate_ns");
     m.classify_ns =
@@ -114,9 +117,14 @@ class CampaignWorker {
       const bgp::PropagationConfig pc{
           config_.tie_break, config_.tie_break_seed, config_.roas,
           metrics_.enabled ? &metrics_.propagation : nullptr, flight_};
-      delta_.set_victim_baseline(testbed_.internet().graph(),
-                                 sites[task.announcer].node,
-                                 config_.victim_prefix(task.announcer), pc);
+      {
+        // The baseline's eager part only; its lazily decided routes are
+        // paid inside the attacks' propagate/classify phases.
+        obs::ScopedTimer baseline_timer(metrics_.baseline_ns);
+        delta_.set_victim_baseline(testbed_.internet().graph(),
+                                   sites[task.announcer].node,
+                                   config_.victim_prefix(task.announcer), pc);
+      }
       metrics_.baselines_computed.add(1);
     }
     for (std::size_t a = 0; a < sites.size(); ++a) {

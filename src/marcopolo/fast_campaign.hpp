@@ -68,9 +68,10 @@ struct FastCampaignConfig {
   /// ResultStore cells, so the store is byte-identical for any thread
   /// count (asserted by tests).
   std::size_t threads = 0;
-  /// Evaluate each announcer's attacks incrementally: propagate the
-  /// victim-only baseline once per announcer, then replay every
-  /// adversary's announcement as a delta over it (bgp::DeltaPropagation).
+  /// Evaluate each announcer's attacks incrementally: bind the
+  /// victim-only baseline once per announcer (its routes are decided only
+  /// where queried), then replay every adversary's announcement as a delta
+  /// over it (bgp::DeltaPropagation).
   /// A pure optimization — the store is byte-identical with this on or
   /// off (asserted by tests); off forces a full propagation per pair.
   bool incremental = true;

@@ -377,14 +377,25 @@ ResultStore ResultStore::load_binary(std::istream& in) {
     attacks.push_back(type);
   }
   check_header_dims(sites, perspectives, "results binary");
+  // Dims that fit the 16-bit indices can still name gigabytes; read the
+  // plane in bounded chunks first, so a file holds every byte its header
+  // promises before anything that size is allocated.
+  const std::size_t cells = std::size_t{sites} * sites * perspectives *
+                            attacks.size();
+  const std::size_t plane_bytes = (cells + 1) / 2;
+  constexpr std::size_t kChunk = std::size_t{1} << 20;
+  std::string plane;
+  while (plane.size() < plane_bytes) {
+    const std::size_t offset = plane.size();
+    plane.resize(offset + std::min(kChunk, plane_bytes - offset));
+    if (!in.read(plane.data() + offset,
+                 static_cast<std::streamsize>(plane.size() - offset))) {
+      throw std::runtime_error("results binary truncated in outcome plane");
+    }
+  }
   ResultStore store(sites, perspectives, std::move(attacks));
-  const std::size_t cells = store.outcomes_.size();
   const std::size_t cells_per_plane =
       store.num_perspectives_ * store.num_pairs();
-  std::string plane((cells + 1) / 2, '\0');
-  if (!in.read(plane.data(), static_cast<std::streamsize>(plane.size()))) {
-    throw std::runtime_error("results binary truncated in outcome plane");
-  }
   for (std::size_t i = 0; i < cells; ++i) {
     const auto byte = static_cast<std::uint8_t>(plane[i / 2]);
     const std::uint8_t nibble = (i % 2 == 0) ? (byte & 0xf) : (byte >> 4);

@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cmath>
 #include <filesystem>
+#include <iterator>
 #include <sstream>
 
 #include "obs/flight_recorder.hpp"
@@ -18,10 +19,11 @@ namespace {
 constexpr int kTimeseriesSchema = 1;
 
 /// The phase histograms whose per-tick ns deltas pick the hot phase.
-constexpr const char* kPhaseNames[3] = {"propagate", "classify", "record"};
-constexpr const char* kPhaseHistograms[3] = {"campaign.phase.propagate_ns",
-                                             "campaign.phase.classify_ns",
-                                             "campaign.phase.record_ns"};
+constexpr const char* kPhaseNames[] = {"baseline", "propagate", "classify",
+                                       "record"};
+constexpr const char* kPhaseHistograms[] = {
+    "campaign.phase.baseline_ns", "campaign.phase.propagate_ns",
+    "campaign.phase.classify_ns", "campaign.phase.record_ns"};
 
 [[nodiscard]] std::uint64_t steady_now_ns() {
   return static_cast<std::uint64_t>(
@@ -78,7 +80,7 @@ void TelemetryHub::start() {
     next_tick_ = 0;
     prev_t_ns_ = 0;
     prev_tasks_done_ = 0;
-    prev_phase_ns_[0] = prev_phase_ns_[1] = prev_phase_ns_[2] = 0;
+    prev_phase_ns_.fill(0);
     zero_progress_ticks_ = 0;
 
     if (!config_.timeseries_path.empty()) {
@@ -144,7 +146,7 @@ void TelemetryHub::set_metrics(MetricsRegistry* metrics) {
   config_.metrics = metrics;
   // Handles and phase baselines belong to the old registry.
   stall_counter_ = Counter{};
-  prev_phase_ns_[0] = prev_phase_ns_[1] = prev_phase_ns_[2] = 0;
+  prev_phase_ns_.fill(0);
 }
 
 void TelemetryHub::add_planned_tasks(std::uint64_t n) {
@@ -245,7 +247,10 @@ void TelemetryHub::tick_locked(bool final_tick) {
     counters = config_.metrics->snapshot();
     have_counters = true;
     std::uint64_t best_delta = 0;
-    for (int p = 0; p < 3; ++p) {
+    static_assert(std::size(kPhaseHistograms) == std::size(kPhaseNames) &&
+                  std::tuple_size_v<decltype(prev_phase_ns_)> ==
+                      std::size(kPhaseNames));
+    for (std::size_t p = 0; p < std::size(kPhaseNames); ++p) {
       const HistogramSnapshot* hist =
           counters.histogram(kPhaseHistograms[p]);
       const std::uint64_t sum = hist != nullptr ? hist->sum : 0;

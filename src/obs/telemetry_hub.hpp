@@ -39,6 +39,7 @@
 // eta_s when unknown, counters when no registry is attached.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -175,7 +176,8 @@ class TelemetryHub {
   // Previous-tick state for rate/hot-phase derivation (sampler only).
   std::uint64_t prev_t_ns_ = 0;
   std::uint64_t prev_tasks_done_ = 0;
-  std::uint64_t prev_phase_ns_[3] = {0, 0, 0};
+  /// Per campaign phase: baseline, propagate, classify, record.
+  std::array<std::uint64_t, 4> prev_phase_ns_{};
   int zero_progress_ticks_ = 0;
   Counter stall_counter_;  ///< Interned lazily on first stall.
 

@@ -104,6 +104,29 @@ TEST(CampaignMetrics, CountersAreThreadCountInvariant) {
   }
 }
 
+TEST(CampaignMetrics, BaselinePhaseTimesEachAnnouncerOnce) {
+  // One campaign.phase.baseline_ns sample per announcer task (the victim
+  // baseline is bound once per announcer), and none when every pair runs
+  // the full engine instead.
+  const std::uint64_t sites = shared_testbed().sites().size();
+  for (const bool incremental : {true, false}) {
+    obs::MetricsRegistry registry;
+    FastCampaignConfig cfg;
+    cfg.threads = 2;
+    cfg.incremental = incremental;
+    cfg.observers.metrics = &registry;
+    (void)run_fast_campaign(shared_testbed(), cfg);
+    const obs::MetricsSnapshot snap = registry.snapshot();
+    const obs::HistogramSnapshot* baseline =
+        snap.histogram("campaign.phase.baseline_ns");
+    ASSERT_NE(baseline, nullptr) << "incremental=" << incremental;
+    EXPECT_EQ(baseline->count, incremental ? sites : 0u)
+        << "incremental=" << incremental;
+    EXPECT_EQ(snap.counter("campaign.baselines_computed"),
+              incremental ? sites : 0u);
+  }
+}
+
 TEST(CampaignMetrics, DnsSurfaceCountsCollapses) {
   const auto& tb = shared_testbed();
   obs::MetricsRegistry registry;

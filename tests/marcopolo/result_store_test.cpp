@@ -362,6 +362,18 @@ TEST(ResultStore, BinaryRejectsTruncation) {
                  std::runtime_error)
         << "prefix of " << keep << " bytes";
   }
+  // A header alone that names 65535 sites and 65535 perspectives: the
+  // plane it promises (~140 TB) is missing, which must be reported as a
+  // truncation before a store that size is allocated.
+  std::string huge = bytes.substr(0, 21);  // 20-byte header + 1 attack type
+  for (const std::size_t field : {std::size_t{8}, std::size_t{12}}) {
+    huge[field] = huge[field + 1] = static_cast<char>(0xff);
+    huge[field + 2] = huge[field + 3] = 0;
+  }
+  std::stringstream header_only(huge);
+  EXPECT_THROW((void)ResultStore::load_binary(header_only),
+               std::runtime_error)
+      << "65535 x 65535 header with no plane";
 }
 
 TEST(ResultStore, BinaryRejectsOutOfRangeNibble) {

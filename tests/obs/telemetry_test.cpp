@@ -74,6 +74,22 @@ TEST_F(TelemetryTest, TimeseriesRoundTrip) {
   EXPECT_EQ(last->counter("campaign.tasks_executed"), 7u);
 }
 
+TEST_F(TelemetryTest, HotPhaseIsTheLargestPhaseDeltaBaselineIncluded) {
+  MetricsRegistry registry;
+  TelemetryConfig cfg;
+  cfg.metrics = &registry;
+  TelemetryHub hub(cfg);  // no start(): tick_now() drives time by hand
+  registry.histogram("campaign.phase.baseline_ns").observe(5000);
+  registry.histogram("campaign.phase.classify_ns").observe(3000);
+  hub.tick_now();
+  EXPECT_EQ(hub.latest().hot_phase, "baseline");
+  // Per-tick deltas, not totals: the baseline's 5000 ns are old news.
+  registry.histogram("campaign.phase.classify_ns").observe(4000);
+  registry.histogram("campaign.phase.baseline_ns").observe(100);
+  hub.tick_now();
+  EXPECT_EQ(hub.latest().hot_phase, "classify");
+}
+
 TEST_F(TelemetryTest, StallFiresAtExactlyNTicksNotNMinusOne) {
   MetricsRegistry registry;
   TelemetryConfig cfg;
