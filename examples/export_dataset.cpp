@@ -2,14 +2,15 @@
 // per-perspective logs as CSV, ranked deployments and full evaluations as
 // JSON — and prove the raw dataset round-trips.
 //
-// Usage: export_dataset [output_dir] [--binary]
+// Usage: export_dataset [output_dir]
 //   output_dir  defaults to the current directory
-//   --binary    additionally write marcopolo_results.bin (the versioned
-//               binary store format) and round-trip check it
+//
+// The raw logs go out twice: marcopolo_results.csv for spreadsheets and
+// other tools (a write-only export), and marcopolo_results.bin, the
+// versioned binary store format this code reads back. The binary is
+// reloaded and compared cell by cell.
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include "analysis/bootstrap.hpp"
@@ -20,53 +21,31 @@
 using namespace marcopolo;
 
 int main(int argc, char** argv) {
-  std::string dir = ".";
-  bool binary = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--binary") == 0) {
-      binary = true;
-    } else {
-      dir = argv[i];
-    }
+  if (argc > 2 || (argc == 2 && argv[1][0] == '-')) {
+    std::fprintf(stderr, "usage: export_dataset [output_dir]\n");
+    return 2;
   }
+  const std::string dir = argc == 2 ? argv[1] : ".";
 
   core::Testbed testbed{core::TestbedConfig{}};
   std::printf("Running campaign...\n");
   const auto store =
       core::run_fast_campaign(testbed, core::FastCampaignConfig{});
 
-  // 1. Raw logs as CSV + round-trip check.
+  // 1. Raw logs: the CSV export, then the binary store plus its
+  //    round-trip check.
   const std::string csv_path = dir + "/marcopolo_results.csv";
   {
     std::ofstream out(csv_path);
     store.save_csv(out);
   }
+  std::printf("Wrote %s\n", csv_path.c_str());
+  const std::string bin_path = dir + "/marcopolo_results.bin";
   {
-    std::ifstream in(csv_path);
-    const auto reloaded = core::ResultStore::load_csv(in);
-    std::size_t mismatches = 0;
-    for (core::SiteIndex v = 0; v < store.num_sites(); ++v) {
-      for (core::SiteIndex a = 0; a < store.num_sites(); ++a) {
-        if (v == a) continue;
-        for (core::PerspectiveIndex p = 0; p < store.num_perspectives();
-             ++p) {
-          if (reloaded.outcome(v, a, p) != store.outcome(v, a, p)) {
-            ++mismatches;
-          }
-        }
-      }
-    }
-    std::printf("Wrote %s (round-trip mismatches: %zu)\n", csv_path.c_str(),
-                mismatches);
+    std::ofstream out(bin_path, std::ios::binary);
+    store.save_binary(out);
   }
-
-  // 1b. Optional compact binary alongside the CSV.
-  if (binary) {
-    const std::string bin_path = dir + "/marcopolo_results.bin";
-    {
-      std::ofstream out(bin_path, std::ios::binary);
-      store.save_binary(out);
-    }
+  {
     std::ifstream in(bin_path, std::ios::binary);
     const auto reloaded = core::ResultStore::load_binary(in);
     std::size_t mismatches = 0;

@@ -4,8 +4,8 @@
 #include <array>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "bgp/attack_model.hpp"
 
@@ -24,24 +24,23 @@ std::size_t checked_dim(std::size_t n, std::size_t max, const char* what) {
   return n;
 }
 
-/// A reader's header check: dims the constructor would reject are a bad
-/// file, not a bad argument.
-void check_header_dims(std::size_t sites, std::size_t perspectives,
-                       const char* format) {
+/// The reader's header check: dims the constructor would reject are a
+/// bad file, not a bad argument.
+void check_header_dims(std::size_t sites, std::size_t perspectives) {
   if (sites > ResultStore::kMaxSites ||
       perspectives > ResultStore::kMaxPerspectives) {
-    throw std::runtime_error(std::string(format) + " dims out of range: " +
+    throw std::runtime_error("results binary dims out of range: " +
                              std::to_string(sites) + " sites, " +
                              std::to_string(perspectives) + " perspectives");
   }
 }
 
-/// A reader's plane-tag check, made before `type` joins `seen`: a type
+/// The reader's plane-tag check, made before `type` joins `seen`: a type
 /// named twice is a bad file, not the constructor's bad argument.
 void check_new_attack(const std::vector<bgp::AttackType>& seen,
-                      bgp::AttackType type, const char* format) {
+                      bgp::AttackType type) {
   if (std::find(seen.begin(), seen.end(), type) != seen.end()) {
-    throw std::runtime_error(std::string(format) + " names attack type " +
+    throw std::runtime_error(std::string("results binary names attack type ") +
                              bgp::to_cstring(type) + " twice");
   }
 }
@@ -149,10 +148,9 @@ ResultStore ResultStore::extract_attack(std::size_t attack) const {
 }
 
 void ResultStore::save_csv(std::ostream& out) const {
-  // Version comment first: readers (including load_csv) skip '#' lines,
-  // so future format changes can bump the number without breaking old
-  // parsers silently. The attack_types comment names each plane so the
-  // numeric attack column stays self-describing.
+  // Version comment first, so a consumer can tell format revisions
+  // apart. The attack_types comment names each plane so the numeric
+  // attack column stays self-describing.
   out << "# schema=2\n";
   out << "# attack_types=";
   for (std::size_t i = 0; i < attacks_.size(); ++i) {
@@ -176,111 +174,6 @@ void ResultStore::save_csv(std::ostream& out) const {
       }
     }
   }
-}
-
-namespace {
-
-// Parse the "# attack_types=a,b,c" comment payload into plane tags.
-std::vector<bgp::AttackType> parse_attack_type_comment(
-    std::string_view names) {
-  std::vector<bgp::AttackType> out;
-  while (!names.empty()) {
-    const std::size_t comma = names.find(',');
-    const std::string_view token = names.substr(0, comma);
-    const std::optional<bgp::AttackType> type =
-        bgp::attack_type_from_string(token);
-    if (!type.has_value()) {
-      throw std::runtime_error("results csv unknown attack type: " +
-                               std::string(token));
-    }
-    check_new_attack(out, *type, "results csv");
-    out.push_back(*type);
-    if (comma == std::string_view::npos) break;
-    names.remove_prefix(comma + 1);
-  }
-  return out;
-}
-
-}  // namespace
-
-ResultStore ResultStore::load_csv(std::istream& in) {
-  std::string line;
-  // Accept-and-remember leading comment lines ("# schema=N",
-  // "# attack_types=..."); the header row follows them.
-  std::vector<bgp::AttackType> attacks;
-  do {
-    if (!std::getline(in, line)) throw std::runtime_error("empty results csv");
-    constexpr std::string_view kTypesTag = "# attack_types=";
-    if (line.starts_with(kTypesTag)) {
-      attacks = parse_attack_type_comment(
-          std::string_view(line).substr(kTypesTag.size()));
-    }
-  } while (!line.empty() && line.front() == '#');
-  std::size_t sites = 0;
-  std::size_t perspectives = 0;
-  std::size_t num_attacks = 0;
-  {
-    std::istringstream header(line);
-    std::string tag;
-    char comma = 0;
-    std::getline(header, tag, ',');
-    if (tag != "sites") throw std::runtime_error("bad results csv header");
-    header >> sites >> comma;
-    std::getline(header, tag, ',');
-    if (tag != "perspectives") {
-      throw std::runtime_error("bad results csv header: expected "
-                               "'perspectives' tag, got '" + tag + "'");
-    }
-    if (!header || !(header >> perspectives)) {
-      throw std::runtime_error("bad results csv header counts");
-    }
-    // Schema 2 ends the header with ",attacks,<k>"; a schema-1 header
-    // stops before it.
-    if (!(header >> comma)) {
-      throw std::runtime_error(
-          "unsupported results csv schema: header has no attacks field");
-    }
-    std::getline(header, tag, ',');
-    if (tag != "attacks") {
-      throw std::runtime_error("bad results csv header: expected "
-                               "'attacks' tag, got '" + tag + "'");
-    }
-    if (!(header >> num_attacks) || num_attacks == 0) {
-      throw std::runtime_error("bad results csv attack count");
-    }
-  }
-  if (attacks.size() != num_attacks) {
-    throw std::runtime_error(
-        "results csv attack_types comment does not match header count");
-  }
-  check_header_dims(sites, perspectives, "results csv");
-  ResultStore store(sites, perspectives, std::move(attacks));
-  std::getline(in, line);  // column header
-  while (std::getline(in, line)) {
-    if (line.empty() || line.front() == '#') continue;
-    std::istringstream row(line);
-    std::size_t v = 0;
-    std::size_t a = 0;
-    std::size_t p = 0;
-    std::size_t t = 0;
-    int outcome = 0;
-    char c = 0;
-    row >> v >> c >> a >> c >> p >> c >> t >> c >> outcome;
-    if (!row) throw std::runtime_error("bad results csv row: " + line);
-    if (outcome < static_cast<int>(bgp::OriginReached::None) ||
-        outcome > static_cast<int>(bgp::OriginReached::Adversary)) {
-      throw std::runtime_error("results csv outcome out of range: " + line);
-    }
-    // Checked before narrowing: 65537 would record as SiteIndex 1.
-    if (v >= sites || a >= sites || p >= perspectives ||
-        t >= store.num_attacks()) {
-      throw std::runtime_error("results csv index out of range: " + line);
-    }
-    store.record(t, static_cast<SiteIndex>(v), static_cast<SiteIndex>(a),
-                 static_cast<PerspectiveIndex>(p),
-                 static_cast<bgp::OriginReached>(outcome));
-  }
-  return store;
 }
 
 namespace {
@@ -373,10 +266,10 @@ ResultStore ResultStore::load_binary(std::istream& in) {
                                std::to_string(byte));
     }
     const auto type = static_cast<bgp::AttackType>(byte);
-    check_new_attack(attacks, type, "results binary");
+    check_new_attack(attacks, type);
     attacks.push_back(type);
   }
-  check_header_dims(sites, perspectives, "results binary");
+  check_header_dims(sites, perspectives);
   // Dims that fit the 16-bit indices can still name gigabytes; read the
   // plane in bounded chunks first, so a file holds every byte its header
   // promises before anything that size is allocated.

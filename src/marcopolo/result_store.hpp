@@ -188,18 +188,13 @@ class ResultStore {
     return hijack_words_.size() * sizeof(std::uint64_t);
   }
 
-  /// CSV format, versioned: a `# schema=2` comment, a
-  /// `# attack_types=<csv>` comment naming each plane, a
-  /// `sites,<n>,perspectives,<m>,attacks,<k>` header, a column-name row,
-  /// then one `victim,adversary,perspective,attack,outcome` row per
-  /// recorded cell (attack = plane index).
+  /// CSV export, write-only (the binary format below is the one this
+  /// code reads back): a `# schema=2` comment, a `# attack_types=<csv>`
+  /// comment naming each plane, a `sites,<n>,perspectives,<m>,attacks,<k>`
+  /// header, a column-name row, then one
+  /// `victim,adversary,perspective,attack,outcome` row per recorded cell
+  /// (attack = plane index).
   void save_csv(std::ostream& out) const;
-  /// Parses save_csv() output. Throws std::runtime_error on a schema-1
-  /// header (no `attacks` field), an `# attack_types=` comment that is
-  /// missing, names an unknown or repeated type, or disagrees with the
-  /// header count, header dims beyond kMaxSites / kMaxPerspectives, and a
-  /// malformed row or one whose index or outcome is out of range.
-  [[nodiscard]] static ResultStore load_csv(std::istream& in);
 
   /// Versioned binary format: "MPRS" magic, a schema byte (2), little-
   /// endian u32 dims (sites, perspectives, attacks), one attack-type byte

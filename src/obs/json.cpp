@@ -1,9 +1,12 @@
 #include "obs/json.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace marcopolo::obs {
 
@@ -43,21 +46,31 @@ double Value::number() const {
   return std::get<double>(v);
 }
 
+// Casting a double outside the target range is undefined behaviour, so
+// the double paths clamp first (2^64 and 2^63 are exact doubles).
 std::uint64_t Value::u64() const {
   if (const auto* u = std::get_if<std::uint64_t>(&v)) return *u;
   if (const auto* i = std::get_if<std::int64_t>(&v)) {
     return *i < 0 ? 0 : static_cast<std::uint64_t>(*i);
   }
   const double d = std::get<double>(v);
-  return d < 0.0 ? 0 : static_cast<std::uint64_t>(d);
+  if (!(d > 0.0)) return 0;  // negative or NaN
+  if (d >= 0x1p64) return std::numeric_limits<std::uint64_t>::max();
+  return static_cast<std::uint64_t>(d);
 }
 
 std::int64_t Value::i64() const {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
   if (const auto* u = std::get_if<std::uint64_t>(&v)) {
-    return static_cast<std::int64_t>(*u);
+    return static_cast<std::int64_t>(
+        std::min(*u, static_cast<std::uint64_t>(kMax)));
   }
   if (const auto* i = std::get_if<std::int64_t>(&v)) return *i;
-  return static_cast<std::int64_t>(std::get<double>(v));
+  const double d = std::get<double>(v);
+  if (std::isnan(d)) return 0;
+  if (d >= 0x1p63) return kMax;
+  if (d < -0x1p63) return std::numeric_limits<std::int64_t>::min();
+  return static_cast<std::int64_t>(d);
 }
 
 const Value* Value::find(const std::string& key) const {

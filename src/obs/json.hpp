@@ -90,8 +90,11 @@ struct Value {
   /// Any number as double (integers converted).
   [[nodiscard]] double number() const;
   /// Any number as uint64: exact for integer tokens, truncated for
-  /// doubles, 0 for negative values.
+  /// doubles, 0 for negative values, UINT64_MAX from 2^64 up (+inf and
+  /// integer literals too long for 64 bits included).
   [[nodiscard]] std::uint64_t u64() const;
+  /// Any number as int64, the same way: truncated, and saturated at
+  /// INT64_MIN / INT64_MAX outside that range.
   [[nodiscard]] std::int64_t i64() const;
 
   /// Object member access. at() throws std::out_of_range on a missing

@@ -20,8 +20,12 @@ std::string format_double(double value) {
   return text;
 }
 
-}  // namespace
-
+/// One MetricsSnapshot as a JSON object:
+///   {"counters": {...}, "histograms": {name: {count, sum, min, max,
+///    p50, p95, p99, buckets: [{"le": ..., "count": ...}]}}}
+/// The pNN fields are log2-bucket interpolation estimates
+/// (HistogramSnapshot::quantile). `indent` is prepended to every line
+/// after the first.
 void write_metrics_json(std::ostream& out, const MetricsSnapshot& snapshot,
                         std::string_view indent) {
   out << "{\n" << indent << "  \"counters\": {";
@@ -52,6 +56,30 @@ void write_metrics_json(std::ostream& out, const MetricsSnapshot& snapshot,
   if (!snapshot.histograms.empty()) out << "\n" << indent << "  ";
   out << "}\n" << indent << "}";
 }
+
+/// A CpuProfile's summary as a JSON object: sampling rate, sample
+/// accounting, and the top-`top_n` hot symbols by self samples
+/// ({"name", "self", "total"} each).
+void write_profile_json(std::ostream& out, const CpuProfile& profile,
+                        std::string_view indent, std::size_t top_n = 20) {
+  out << "{\n"
+      << indent << "  \"hz\": " << profile.hz << ",\n"
+      << indent << "  \"samples\": " << profile.samples << ",\n"
+      << indent << "  \"dropped\": " << profile.dropped << ",\n"
+      << indent << "  \"truncated\": " << profile.truncated << ",\n"
+      << indent << "  \"symbols\": [";
+  const std::size_t n = std::min(top_n, profile.symbols.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    const HotSymbol& s = profile.symbols[i];
+    out << (i == 0 ? "\n" : ",\n") << indent << "    {\"name\": \""
+        << json_escape(s.name) << "\", \"self\": " << s.self
+        << ", \"total\": " << s.total << "}";
+  }
+  if (n > 0) out << "\n" << indent << "  ";
+  out << "]\n" << indent << "}";
+}
+
+}  // namespace
 
 void RunManifest::set(std::string_view key, std::string_view value) {
   for (auto& [k, v] : config_) {
@@ -93,29 +121,6 @@ void RunManifest::set(std::string_view key, bool value) {
   config_.emplace_back(std::string(key), value);
 }
 
-void RunManifest::add_phase(std::string_view name, double seconds) {
-  phases_.push_back(Phase{std::string(name), seconds});
-}
-
-void write_profile_json(std::ostream& out, const CpuProfile& profile,
-                        std::string_view indent, std::size_t top_n) {
-  out << "{\n"
-      << indent << "  \"hz\": " << profile.hz << ",\n"
-      << indent << "  \"samples\": " << profile.samples << ",\n"
-      << indent << "  \"dropped\": " << profile.dropped << ",\n"
-      << indent << "  \"truncated\": " << profile.truncated << ",\n"
-      << indent << "  \"symbols\": [";
-  const std::size_t n = std::min(top_n, profile.symbols.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const HotSymbol& s = profile.symbols[i];
-    out << (i == 0 ? "\n" : ",\n") << indent << "    {\"name\": \""
-        << json_escape(s.name) << "\", \"self\": " << s.self
-        << ", \"total\": " << s.total << "}";
-  }
-  if (n > 0) out << "\n" << indent << "  ";
-  out << "]\n" << indent << "}";
-}
-
 void RunManifest::set_profile(const CpuProfile& profile) {
   profile_ = profile;
 }
@@ -148,9 +153,15 @@ void RunManifest::write_json(std::ostream& out,
   out << "},\n"
       << "  \"phases\": [";
   for (std::size_t i = 0; i < phases_.size(); ++i) {
+    const PhaseRow& phase = phases_[i];
     out << (i == 0 ? "\n" : ",\n") << "    {\"name\": \""
-        << json_escape(phases_[i].name)
-        << "\", \"seconds\": " << format_double(phases_[i].seconds) << "}";
+        << json_escape(phase.name)
+        << "\", \"seconds\": " << format_double(phase.seconds);
+    if (phase.has_mem) {
+      out << ", \"peak_rss_kb\": " << phase.peak_rss_kb
+          << ", \"rss_delta_kb\": " << phase.rss_delta_kb;
+    }
+    out << "}";
   }
   if (!phases_.empty()) out << "\n  ";
   out << "],\n";

@@ -1,47 +1,65 @@
 // RunManifest: one self-describing JSON document per run.
 //
 // Serializes (1) a config echo — whatever key/value pairs the host
-// program records, in insertion order, (2) named wall-clock phases, and
-// (3) a full MetricsSnapshot (every counter and histogram), so a single
-// `--metrics-out run.json` file answers "what ran, with what settings,
-// how long each phase took, and what the instrumented subsystems
-// counted" without re-running anything. The format is plain JSON with a
-// `manifest_schema` version field; `write_metrics_json()` is exposed
-// separately so benches can embed the metrics section inside their own
-// documents (campaign_wallclock does).
+// program records, in insertion order, (2) named wall-clock phases, each
+// with the process memory across it when it was timed by time_phase(),
+// and (3) a full MetricsSnapshot (every counter and histogram), so a
+// single run document answers "what ran, with what settings, how long
+// each phase took, and what the instrumented subsystems counted" without
+// re-running anything. The format is plain JSON with a `manifest_schema`
+// version field. Every CLI writes one through obs::Session, the
+// campaign_wallclock bench included; ManifestReader reads it back.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
 #include "obs/json.hpp"  // json_escape (the writers' shared escaper)
+#include "obs/mem_stats.hpp"
 #include "obs/metrics.hpp"
 #include "obs/symbolize.hpp"
 
 namespace marcopolo::obs {
 
-/// Write one MetricsSnapshot as a JSON object:
-///   {"counters": {...}, "histograms": {name: {count, sum, min, max,
-///    p50, p95, p99, buckets: [{"le": ..., "count": ...}]}}}
-/// The pNN fields are log2-bucket interpolation estimates
-/// (HistogramSnapshot::quantile).
-/// `indent` is prepended to every line after the first.
-void write_metrics_json(std::ostream& out, const MetricsSnapshot& snapshot,
-                        std::string_view indent = {});
+/// One wall-clock phase row, as RunManifest writes it and ManifestReader
+/// reads it back. The memory pair is present (has_mem) when the phase
+/// was timed by time_phase() on a host with /proc: the process peak RSS
+/// at phase end and the RSS change across the phase.
+struct PhaseRow {
+  std::string name;
+  double seconds = 0.0;
 
-/// Write a CpuProfile's summary as a JSON object: sampling rate, sample
-/// accounting, and the top-`top_n` hot symbols by self samples
-/// ({"name", "self", "total"} each). Shared between RunManifest and the
-/// campaign_wallclock bench so both emit the exact field names
-/// manifest_reader parses. `indent` is prepended to every line after the
-/// first.
-void write_profile_json(std::ostream& out, const CpuProfile& profile,
-                        std::string_view indent = {},
-                        std::size_t top_n = 20);
+  bool has_mem = false;
+  std::uint64_t peak_rss_kb = 0;
+  std::int64_t rss_delta_kb = 0;
+};
+
+/// Run `body` once as phase `name`: wall clock plus memory samples at
+/// entry and exit (obs/mem_stats.hpp; ~5 us each, inside the timing).
+template <typename Body>
+[[nodiscard]] PhaseRow time_phase(std::string name, Body&& body) {
+  PhaseRow row{.name = std::move(name)};
+  const auto t0 = std::chrono::steady_clock::now();
+  const MemorySample start = read_memory_sample();
+  body();
+  const MemorySample end = read_memory_sample();
+  row.seconds = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
+  if (start.valid && end.valid) {
+    row.has_mem = true;
+    row.peak_rss_kb = end.peak_rss_kb;
+    row.rss_delta_kb = static_cast<std::int64_t>(end.rss_kb) -
+                       static_cast<std::int64_t>(start.rss_kb);
+  }
+  return row;
+}
 
 class RunManifest {
  public:
@@ -63,7 +81,10 @@ class RunManifest {
   void set(std::string_view key, bool value);
 
   /// Record a completed wall-clock phase.
-  void add_phase(std::string_view name, double seconds);
+  void add_phase(std::string_view name, double seconds) {
+    add_phase(PhaseRow{.name = std::string(name), .seconds = seconds});
+  }
+  void add_phase(PhaseRow row) { phases_.push_back(std::move(row)); }
 
   /// Attach a CPU profile summary. Serialized as a "profile" section
   /// only when the profile is available and non-empty, so profiler
@@ -82,14 +103,9 @@ class RunManifest {
  private:
   using Value = std::variant<std::string, std::int64_t, double, bool>;
 
-  struct Phase {
-    std::string name;
-    double seconds = 0.0;
-  };
-
   std::string tool_;
   std::vector<std::pair<std::string, Value>> config_;
-  std::vector<Phase> phases_;
+  std::vector<PhaseRow> phases_;
   CpuProfile profile_;  // available && samples > 0 gates serialization
 };
 

@@ -17,9 +17,11 @@ std::string display_string(const json::Value& value) {
   if (value.is_string()) return value.str();
   if (value.is_bool()) return value.boolean() ? "true" : "false";
   if (value.is_number()) {
-    if (std::holds_alternative<std::uint64_t>(value.v) ||
-        std::holds_alternative<std::int64_t>(value.v)) {
-      return std::to_string(value.i64());
+    if (const auto* u = std::get_if<std::uint64_t>(&value.v)) {
+      return std::to_string(*u);
+    }
+    if (const auto* i = std::get_if<std::int64_t>(&value.v)) {
+      return std::to_string(*i);
     }
     char buf[64];
     std::snprintf(buf, sizeof buf, "%g", value.number());
@@ -77,12 +79,9 @@ ReadManifest ManifestReader::read_string(const std::string& text) {
   }
 
   out.schema = static_cast<int>(doc.u64_or("manifest_schema", 0));
-  out.tool = doc.string_or("tool", doc.string_or("benchmark", ""));
-  out.version = doc.string_or("version", "");
+  out.tool = doc.string_or("tool", "");
   if (out.tool.empty()) {
-    out.errors.emplace_back(
-        "document has neither \"tool\" nor \"benchmark\" — not a run "
-        "manifest or campaign_wallclock output");
+    out.errors.emplace_back("document has no \"tool\" — not a run manifest");
     return out;
   }
 
@@ -96,14 +95,16 @@ ReadManifest ManifestReader::read_string(const std::string& text) {
       phases != nullptr && phases->is_array()) {
     for (const json::Value& phase : phases->array()) {
       if (!phase.is_object()) continue;
-      ReadPhase row;
+      PhaseRow row;
       row.name = phase.string_or("name", "?");
       row.seconds = phase.number_or("seconds", 0.0);
       if (phase.find("peak_rss_kb") != nullptr) {
         row.has_mem = true;
         row.peak_rss_kb = phase.u64_or("peak_rss_kb", 0);
-        row.rss_delta_kb =
-            static_cast<std::int64_t>(phase.number_or("rss_delta_kb", 0.0));
+        if (const json::Value* delta = phase.find("rss_delta_kb");
+            delta != nullptr && delta->is_number()) {
+          row.rss_delta_kb = delta->i64();
+        }
       }
       out.phases.push_back(std::move(row));
     }
@@ -111,19 +112,6 @@ ReadManifest ManifestReader::read_string(const std::string& text) {
   if (const json::Value* metrics = doc.find("metrics");
       metrics != nullptr && metrics->is_object()) {
     read_metrics(*metrics, out.metrics);
-  }
-  if (const json::Value* runs = doc.find("runs");
-      runs != nullptr && runs->is_array()) {
-    for (const json::Value& run : runs->array()) {
-      if (!run.is_object()) continue;
-      BenchRunRow row;
-      row.threads = run.u64_or("threads", 0);
-      row.seconds = run.number_or("seconds", 0.0);
-      row.tasks = run.u64_or("tasks", 0);
-      row.propagations = run.u64_or("propagations", 0);
-      row.store_identical = run.bool_or("store_identical", true);
-      out.runs.push_back(row);
-    }
   }
   if (const json::Value* profile = doc.find("profile");
       profile != nullptr && profile->is_object()) {

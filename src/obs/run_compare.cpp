@@ -1,11 +1,13 @@
 #include "obs/run_compare.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 
 #include "obs/json.hpp"
 #include "obs/timeseries_reader.hpp"
@@ -118,22 +120,11 @@ RunComparison compare_runs(const ReadManifest& base,
     }
   }
 
-  // Bench runs matched by thread count.
-  for (const BenchRunRow& brow : base.runs) {
-    for (const BenchRunRow& crow : cand.runs) {
-      if (crow.threads != brow.threads) continue;
-      out.runs.push_back(BenchRunDelta{brow.threads, brow.seconds,
-                                       crow.seconds, brow.throughput(),
-                                       crow.throughput()});
-      break;
-    }
-  }
-
   // Phases: union of names, baseline document order first, then
   // candidate-only names. First occurrence of a name wins on each side.
   const auto find_phase = [](const ReadManifest& m,
-                             const std::string& name) -> const ReadPhase* {
-    for (const ReadPhase& phase : m.phases) {
+                             const std::string& name) -> const PhaseRow* {
+    for (const PhaseRow& phase : m.phases) {
       if (phase.name == name) return &phase;
     }
     return nullptr;
@@ -142,29 +133,29 @@ RunComparison compare_runs(const ReadManifest& base,
     return std::any_of(out.phases.begin(), out.phases.end(),
                        [&](const PhaseDelta& p) { return p.name == name; });
   };
-  const auto fill_base = [](PhaseDelta& delta, const ReadPhase& phase) {
+  const auto fill_base = [](PhaseDelta& delta, const PhaseRow& phase) {
     delta.base_seconds = phase.seconds;
     delta.in_base = true;
     delta.base_has_mem = phase.has_mem;
     delta.base_peak_rss_kb = phase.peak_rss_kb;
   };
-  const auto fill_cand = [](PhaseDelta& delta, const ReadPhase& phase) {
+  const auto fill_cand = [](PhaseDelta& delta, const PhaseRow& phase) {
     delta.cand_seconds = phase.seconds;
     delta.in_cand = true;
     delta.cand_has_mem = phase.has_mem;
     delta.cand_peak_rss_kb = phase.peak_rss_kb;
   };
-  for (const ReadPhase& bphase : base.phases) {
+  for (const PhaseRow& bphase : base.phases) {
     if (emitted(bphase.name)) continue;
     PhaseDelta delta;
     delta.name = bphase.name;
     fill_base(delta, bphase);
-    if (const ReadPhase* cand_phase = find_phase(cand, bphase.name)) {
+    if (const PhaseRow* cand_phase = find_phase(cand, bphase.name)) {
       fill_cand(delta, *cand_phase);
     }
     out.phases.push_back(std::move(delta));
   }
-  for (const ReadPhase& cphase : cand.phases) {
+  for (const PhaseRow& cphase : cand.phases) {
     if (emitted(cphase.name)) continue;
     PhaseDelta delta;
     delta.name = cphase.name;
@@ -212,18 +203,10 @@ RunComparison compare_runs(const ReadManifest& base,
 
 DiffGateResult evaluate_gate(const RunComparison& comparison,
                              const DiffGateConfig& config) {
-  DiffGateResult out;
-  for (const BenchRunDelta& run : comparison.runs) {
-    if (run.seconds_pct() > config.max_regress_pct) {
-      out.pass = false;
-      out.violations.push_back(
-          "threads=" + std::to_string(run.threads) + " wall-clock " +
-          format_pct(run.seconds_pct()) + " (" +
-          format_seconds(run.base_seconds) + " -> " +
-          format_seconds(run.cand_seconds) + ") exceeds " +
-          format_pct(config.max_regress_pct).substr(1));
-    }
+  if (!std::isfinite(config.max_regress_pct) || config.max_regress_pct < 0) {
+    throw std::invalid_argument("max_regress_pct must be finite and >= 0");
   }
+  DiffGateResult out;
   for (const PhaseDelta& phase : comparison.phases) {
     if (!phase.in_base || !phase.in_cand) {
       out.notes.push_back("phase " + phase.name + " only in " +

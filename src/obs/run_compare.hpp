@@ -5,8 +5,8 @@
 //   - `mpinspect summarize` renders one recorded run (provenance
 //     distribution, phase attribution, histogram quantiles);
 //   - `mpinspect diff` compares a candidate run against a baseline and
-//     gates CI on wall-clock regressions (phases, throughput per thread
-//     count, quantile shifts), noting counter drift;
+//     gates CI on wall-clock regressions (phases, quantile shifts),
+//     noting counter drift;
 //   - `mpinspect check` (and quickstart's --trace-out self-check)
 //     structurally validates a trace bundle: schema tag, monotone
 //     timestamps within each lane, meta-vs-actual and
@@ -111,28 +111,11 @@ struct QuantileDelta {
   }
 };
 
-/// One thread-count-matched campaign_wallclock run row in both runs.
-struct BenchRunDelta {
-  std::uint64_t threads = 0;
-  double base_seconds = 0.0;
-  double cand_seconds = 0.0;
-  double base_throughput = 0.0;  ///< tasks/s.
-  double cand_throughput = 0.0;
-
-  /// Wall-clock change in percent (positive = candidate slower).
-  [[nodiscard]] double seconds_pct() const {
-    return base_seconds == 0.0
-               ? 0.0
-               : 100.0 * (cand_seconds - base_seconds) / base_seconds;
-  }
-};
-
 /// One named wall-clock phase (union of both runs, baseline order first).
-/// Bench documents use phases for single-shot measurements that have no
-/// thread-count axis — e.g. campaign_wallclock's exhaustive optimizer
-/// search — so the gate covers phases present in both runs like run rows;
-/// a one-sided phase (old baseline predating the measurement) is only a
-/// note.
+/// campaign_wallclock writes every gated measurement as a phase, one per
+/// thread count for the campaign sweep, so the gate covers phases present
+/// in both runs; a one-sided phase (old baseline predating the
+/// measurement) is only a note.
 struct PhaseDelta {
   std::string name;
   double base_seconds = 0.0;
@@ -141,7 +124,7 @@ struct PhaseDelta {
   bool in_cand = false;
 
   /// Process peak RSS at phase end, present when the writing host had
-  /// /proc (ReadPhase::has_mem).
+  /// /proc (PhaseRow::has_mem).
   bool base_has_mem = false;
   bool cand_has_mem = false;
   std::uint64_t base_peak_rss_kb = 0;
@@ -179,7 +162,6 @@ struct HotSymbolDelta {
 struct RunComparison {
   std::vector<CounterDelta> counters;    ///< Union of names, sorted.
   std::vector<QuantileDelta> quantiles;  ///< Common histograms × {p50,p95,p99}.
-  std::vector<BenchRunDelta> runs;       ///< Thread-count-matched rows.
   std::vector<PhaseDelta> phases;        ///< Name-matched phases in both runs.
 
   /// Hot-symbol regression attribution, present when both documents
@@ -197,14 +179,15 @@ struct RunComparison {
 
 /// CI gate over a comparison. A regression is a candidate that is slower
 /// than baseline by more than `max_regress_pct` percent on a gated
-/// quantity: per-thread-count wall-clock seconds (equivalently a
-/// throughput drop), named phases present in both runs, and the p95/p99
-/// of time-like histograms (names ending in `_ns` / `_ms`). A phase
-/// present in only one run is noted, never gated — an old baseline simply
+/// quantity: named phases present in both runs, and the p95/p99 of
+/// time-like histograms (names ending in `_ns` / `_ms`). A phase present
+/// in only one run is noted, never gated — an old baseline simply
 /// predates the measurement. Counter drift is reported in `notes` but
 /// never fails the gate — a changed workload makes timing comparisons
 /// meaningless, which is a different problem than a slow one.
 struct DiffGateConfig {
+  /// Finite and >= 0, else evaluate_gate throws std::invalid_argument (no
+  /// `pct >` comparison ever exceeds a NaN bound).
   double max_regress_pct = 25.0;
   /// Histogram quantiles where both sides sit below this many nanoseconds
   /// are ignored: at single-digit-microsecond latencies, scheduler and

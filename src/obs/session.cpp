@@ -106,6 +106,10 @@ std::string session_usage(unsigned accepted) {
   return usage;
 }
 
+namespace {
+
+/// The profiler --profile asks for, or null; an unavailable one is still
+/// returned after its reason is echoed.
 std::unique_ptr<SamplingProfiler> make_profiler(
     const SessionOptions& options) {
   if (options.profile_hz == 0) return nullptr;
@@ -117,6 +121,8 @@ std::unique_ptr<SamplingProfiler> make_profiler(
   return profiler;
 }
 
+/// The started hub --telemetry-out asks for, or null, scraping `metrics`
+/// and `recorder` (either may be null).
 std::unique_ptr<TelemetryHub> start_telemetry(const SessionOptions& options,
                                               MetricsRegistry* metrics,
                                               const FlightRecorder* recorder) {
@@ -129,6 +135,8 @@ std::unique_ptr<TelemetryHub> start_telemetry(const SessionOptions& options,
   hub->start();
   return hub;
 }
+
+}  // namespace
 
 Session::Session(std::string tool, SessionOptions options)
     : options_(std::move(options)),

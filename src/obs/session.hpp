@@ -59,17 +59,6 @@ struct SessionArgs {
 /// Usage text for `accepted`, e.g. "[--trace-out <dir>] [--profile[=hz]]".
 [[nodiscard]] std::string session_usage(unsigned accepted);
 
-/// The profiler --profile asks for, or null; an unavailable one is still
-/// returned after its reason is echoed.
-[[nodiscard]] std::unique_ptr<SamplingProfiler> make_profiler(
-    const SessionOptions& options);
-
-/// The started hub --telemetry-out asks for, or null, scraping `metrics`
-/// and `recorder` (either may be null).
-[[nodiscard]] std::unique_ptr<TelemetryHub> start_telemetry(
-    const SessionOptions& options, MetricsRegistry* metrics,
-    const FlightRecorder* recorder);
-
 class Session {
  public:
   /// Build every observer `options` asks for; `tool` names the manifest.

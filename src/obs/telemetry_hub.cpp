@@ -141,14 +141,6 @@ void TelemetryHub::sampler_loop() {
   }
 }
 
-void TelemetryHub::set_metrics(MetricsRegistry* metrics) {
-  std::scoped_lock lock(tick_mutex_);
-  config_.metrics = metrics;
-  // Handles and phase baselines belong to the old registry.
-  stall_counter_ = Counter{};
-  prev_phase_ns_.fill(0);
-}
-
 void TelemetryHub::add_planned_tasks(std::uint64_t n) {
   planned_tasks_.fetch_add(n, std::memory_order_relaxed);
 }

@@ -113,12 +113,6 @@ class TelemetryHub {
   /// the file. Idempotent; also run by the destructor.
   void stop();
 
-  /// Rebind the scraped registry mid-run (the bench harness builds a
-  /// fresh registry per rep). Synchronized with the tick, so the old
-  /// registry may be destroyed as soon as this returns. Pass nullptr to
-  /// detach before the current registry dies.
-  void set_metrics(MetricsRegistry* metrics);
-
   /// Grow the denominator for progress/ETA. Campaigns call this once
   /// with tasks*sites before workers start; multiple campaigns sharing
   /// one hub accumulate.
@@ -157,7 +151,7 @@ class TelemetryHub {
 
   TelemetryConfig config_;
 
-  std::mutex tick_mutex_;  ///< Serializes ticks, set_metrics, start/stop.
+  std::mutex tick_mutex_;  ///< Serializes ticks and start/stop.
   std::condition_variable tick_cv_;
   std::thread sampler_;
   bool started_ = false;

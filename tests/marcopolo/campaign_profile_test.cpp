@@ -21,7 +21,7 @@
 namespace marcopolo::core {
 namespace {
 
-using testing_support::csv_bytes;
+using testing_support::mprs_bytes;
 using testing_support::same_bytes;
 using testing_support::shared_testbed;
 
@@ -29,7 +29,7 @@ TEST(CampaignProfile, ProfilerLeavesResultBytesIdentical) {
   FastCampaignConfig plain;
   plain.threads = 1;
   const std::string baseline =
-      csv_bytes(run_fast_campaign(shared_testbed(), plain));
+      mprs_bytes(run_fast_campaign(shared_testbed(), plain));
 
   obs::SamplingProfiler profiler;  // available or degraded — both legal
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
@@ -37,7 +37,7 @@ TEST(CampaignProfile, ProfilerLeavesResultBytesIdentical) {
     profiled.threads = threads;
     profiled.observers.profiler = &profiler;
     const std::string with_profiler =
-        csv_bytes(run_fast_campaign(shared_testbed(), profiled));
+        mprs_bytes(run_fast_campaign(shared_testbed(), profiled));
     EXPECT_TRUE(same_bytes(with_profiler, baseline))
         << "profiler changed the store (threads=" << threads << ")";
   }

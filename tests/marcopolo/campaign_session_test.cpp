@@ -20,7 +20,7 @@
 namespace marcopolo::core {
 namespace {
 
-using testing_support::csv_bytes;
+using testing_support::mprs_bytes;
 using testing_support::same_bytes;
 using testing_support::shared_testbed;
 
@@ -41,14 +41,14 @@ TEST(CampaignSession, EveryObserverOnKeepsStoreAndWritesCheckedBundle) {
   FastCampaignConfig plain;
   plain.threads = 2;
   const std::string baseline =
-      csv_bytes(run_fast_campaign(shared_testbed(), plain));
+      mprs_bytes(run_fast_campaign(shared_testbed(), plain));
 
   {
     obs::Session session("campaign_session_test", options);
     FastCampaignConfig observed = plain;
     observed.observers = session.observers();
     const ResultStore store = run_fast_campaign(shared_testbed(), observed);
-    EXPECT_TRUE(same_bytes(csv_bytes(store), baseline))
+    EXPECT_TRUE(same_bytes(mprs_bytes(store), baseline))
         << "session observers changed the store";
 
     Testbed testbed(testing_support::small_testbed_config());

@@ -1,8 +1,7 @@
 // The telemetry hub must be a pure observer, exactly like metrics and
 // the flight recorder: hub on or off may not change a single result
-// byte, and the saved CSV — the canonical output artifact — must be
-// byte-identical, not just cell-identical. This is the check the ASan CI
-// job runs.
+// byte, and the saved store (MPRS) must be byte-identical, not just
+// cell-identical. This is the check the ASan CI job runs.
 #include "marcopolo/fast_campaign.hpp"
 
 #include <gtest/gtest.h>
@@ -17,14 +16,14 @@
 namespace marcopolo::core {
 namespace {
 
-using testing_support::csv_bytes;
+using testing_support::mprs_bytes;
 using testing_support::same_bytes;
 using testing_support::shared_testbed;
 
 TEST(CampaignTelemetry, HubLeavesResultBytesIdentical) {
   FastCampaignConfig plain;
   plain.threads = 1;
-  const std::string baseline = csv_bytes(run_fast_campaign(
+  const std::string baseline = mprs_bytes(run_fast_campaign(
       shared_testbed(), plain));
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
@@ -35,7 +34,7 @@ TEST(CampaignTelemetry, HubLeavesResultBytesIdentical) {
     FastCampaignConfig observed;
     observed.threads = threads;
     observed.observers.telemetry = &hub;
-    const std::string with_hub = csv_bytes(run_fast_campaign(
+    const std::string with_hub = mprs_bytes(run_fast_campaign(
         shared_testbed(), observed));
     hub.stop();
     EXPECT_TRUE(same_bytes(with_hub, baseline))

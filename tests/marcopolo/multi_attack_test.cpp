@@ -16,7 +16,7 @@
 namespace marcopolo::core {
 namespace {
 
-using testing_support::csv_bytes;
+using testing_support::mprs_bytes;
 using testing_support::same_bytes;
 using testing_support::shared_testbed;
 using testing_support::small_testbed_config;
@@ -59,7 +59,7 @@ TEST(MultiAttackCampaign, EveryPlaneMatchesItsSingleAttackCampaign) {
     single.type = multi.attack_types()[ai];
     const auto alone = run_fast_campaign(shared_testbed(), single);
     EXPECT_TRUE(
-        same_bytes(csv_bytes(multi.extract_attack(ai)), csv_bytes(alone)))
+        same_bytes(mprs_bytes(multi.extract_attack(ai)), mprs_bytes(alone)))
         << "plane " << bgp::to_cstring(multi.attack_types()[ai]);
   }
 }
@@ -67,11 +67,11 @@ TEST(MultiAttackCampaign, EveryPlaneMatchesItsSingleAttackCampaign) {
 TEST(MultiAttackCampaign, StoreIsByteIdenticalAcrossThreadCounts) {
   FastCampaignConfig cfg = all_attacks_config();
   cfg.threads = 1;
-  const std::string one = csv_bytes(run_fast_campaign(shared_testbed(), cfg));
+  const std::string one = mprs_bytes(run_fast_campaign(shared_testbed(), cfg));
   for (const std::size_t threads : {std::size_t{4}, std::size_t{64}}) {
     cfg.threads = threads;
     EXPECT_TRUE(
-        same_bytes(csv_bytes(run_fast_campaign(shared_testbed(), cfg)), one))
+        same_bytes(mprs_bytes(run_fast_campaign(shared_testbed(), cfg)), one))
         << threads << " threads";
   }
 }
@@ -83,10 +83,10 @@ TEST(MultiAttackCampaign, StoreIsByteIdenticalIncrementalVsFull) {
   // full engine's store exactly.
   FastCampaignConfig cfg = all_attacks_config();
   cfg.incremental = true;
-  const std::string fast = csv_bytes(run_fast_campaign(shared_testbed(), cfg));
+  const std::string fast = mprs_bytes(run_fast_campaign(shared_testbed(), cfg));
   cfg.incremental = false;
   EXPECT_TRUE(
-      same_bytes(csv_bytes(run_fast_campaign(shared_testbed(), cfg)), fast));
+      same_bytes(mprs_bytes(run_fast_campaign(shared_testbed(), cfg)), fast));
 }
 
 TEST(MultiAttackCampaign, LegacySingleTypeConfigTagsItsPlane) {
@@ -112,8 +112,8 @@ TEST(MultiAttackCampaign, OtcDeploymentBitesLeaksButNotOriginHijacks) {
   const auto store_plain = run_fast_campaign(plain, run);
   const auto store_otc = run_fast_campaign(otc, run);
 
-  EXPECT_TRUE(same_bytes(csv_bytes(store_plain.extract_attack(0)),
-                         csv_bytes(store_otc.extract_attack(0))))
+  EXPECT_TRUE(same_bytes(mprs_bytes(store_plain.extract_attack(0)),
+                         mprs_bytes(store_otc.extract_attack(0))))
       << "equally-specific outcomes must be OTC-invariant";
 
   const auto hijacks = [](const ResultStore& s, std::size_t ai) {

@@ -120,29 +120,6 @@ TEST(ResultStore, OverwriteOnRetry) {
   EXPECT_FALSE(store.hijacked(0, 1, 0));
 }
 
-TEST(ResultStore, CsvRoundtrip) {
-  ResultStore store(3, 2);
-  store.record(0, 1, 0, OriginReached::Adversary);
-  store.record(0, 1, 1, OriginReached::Victim);
-  store.record(2, 0, 0, OriginReached::None);
-
-  std::stringstream buffer;
-  store.save_csv(buffer);
-  const ResultStore loaded = ResultStore::load_csv(buffer);
-
-  EXPECT_EQ(loaded.num_sites(), 3u);
-  EXPECT_EQ(loaded.num_perspectives(), 2u);
-  for (SiteIndex v = 0; v < 3; ++v) {
-    for (SiteIndex a = 0; a < 3; ++a) {
-      for (PerspectiveIndex p = 0; p < 2; ++p) {
-        EXPECT_EQ(loaded.outcome(v, a, p), store.outcome(v, a, p));
-      }
-    }
-  }
-  // Completeness survives (2,0) was explicitly None.
-  EXPECT_TRUE(loaded.pair_complete(0, 1));
-}
-
 TEST(ResultStore, SaveEmitsSchemaCommentFirst) {
   ResultStore store(2, 1);
   std::stringstream buffer;
@@ -156,107 +133,6 @@ TEST(ResultStore, SaveEmitsSchemaCommentFirst) {
   EXPECT_EQ(line, "# attack_types=equally-specific");
   ASSERT_TRUE(std::getline(buffer, line));
   EXPECT_EQ(line, "sites,2,perspectives,1,attacks,1");
-}
-
-/// The comment lines and header of a one-plane schema-2 CSV with
-/// `sites` sites and `perspectives` perspectives, column row included.
-std::string one_plane_csv(int sites, int perspectives) {
-  return "# schema=2\n# attack_types=equally-specific\nsites," +
-         std::to_string(sites) + ",perspectives," +
-         std::to_string(perspectives) +
-         ",attacks,1\nvictim,adversary,perspective,attack,outcome\n";
-}
-
-TEST(ResultStore, LoadSkipsCommentLines) {
-  // The versioned format carries `# ...` comment lines; the loader must
-  // accept both the schema comments and extra comments in the body.
-  std::stringstream commented(
-      "# schema=2\n"
-      "# attack_types=equally-specific\n"
-      "# produced-by: test\n"
-      "sites,2,perspectives,1,attacks,1\n"
-      "victim,adversary,perspective,attack,outcome\n"
-      "0,1,0,0,2\n"
-      "# trailing note\n"
-      "1,0,0,0,1\n");
-  const ResultStore store = ResultStore::load_csv(commented);
-  EXPECT_EQ(store.outcome(0, 1, 0), OriginReached::Adversary);
-  EXPECT_EQ(store.outcome(1, 0, 0), OriginReached::Victim);
-}
-
-TEST(ResultStore, LoadRejectsGarbage) {
-  std::stringstream bad("nonsense\n");
-  EXPECT_THROW((void)ResultStore::load_csv(bad), std::runtime_error);
-  std::stringstream empty("");
-  EXPECT_THROW((void)ResultStore::load_csv(empty), std::runtime_error);
-}
-
-TEST(ResultStore, LoadRejectsOutOfRangeOutcome) {
-  // A corrupt outcome column must not be static_cast into OriginReached:
-  // 7 is not a valid enumerator and would silently poison the store.
-  std::stringstream corrupt(one_plane_csv(2, 1) + "0,1,0,0,7\n");
-  EXPECT_THROW((void)ResultStore::load_csv(corrupt), std::runtime_error);
-
-  std::stringstream negative(one_plane_csv(2, 1) + "0,1,0,0,-1\n");
-  EXPECT_THROW((void)ResultStore::load_csv(negative), std::runtime_error);
-
-  // All legal enumerators still load.
-  std::stringstream fine(one_plane_csv(2, 3) +
-                         "0,1,0,0,0\n"
-                         "0,1,1,0,1\n"
-                         "0,1,2,0,2\n");
-  const ResultStore store = ResultStore::load_csv(fine);
-  EXPECT_EQ(store.outcome(0, 1, 0), OriginReached::None);
-  EXPECT_EQ(store.outcome(0, 1, 1), OriginReached::Victim);
-  EXPECT_EQ(store.outcome(0, 1, 2), OriginReached::Adversary);
-}
-
-TEST(ResultStore, LoadRejectsWrongHeaderSecondTag) {
-  // Seed code never checked the second tag and read garbage counts.
-  std::stringstream bad(
-      "# schema=2\n"
-      "# attack_types=equally-specific\n"
-      "sites,2,prospectives,1,attacks,1\n"
-      "victim,adversary,perspective,attack,outcome\n");
-  EXPECT_THROW((void)ResultStore::load_csv(bad), std::runtime_error);
-
-  std::stringstream truncated(
-      "# schema=2\n# attack_types=equally-specific\nsites,2\n");
-  EXPECT_THROW((void)ResultStore::load_csv(truncated), std::runtime_error);
-}
-
-TEST(ResultStore, CsvRoundTripPreservesEveryCellIncludingUnrecorded) {
-  // A store with a mix of all three outcomes and unrecorded holes must
-  // round-trip cell-exactly: unrecorded cells stay unrecorded (pair
-  // incomplete), and explicit None survives as a recorded outcome.
-  ResultStore store(4, 3);
-  store.record(0, 1, 0, OriginReached::Adversary);
-  store.record(0, 1, 1, OriginReached::Victim);
-  store.record(0, 1, 2, OriginReached::None);
-  store.record(1, 0, 0, OriginReached::Victim);
-  store.record(3, 2, 1, OriginReached::Adversary);
-  // (2, 3) left fully unrecorded; (1, 0) partially recorded.
-
-  std::stringstream buffer;
-  store.save_csv(buffer);
-  const ResultStore loaded = ResultStore::load_csv(buffer);
-
-  ASSERT_EQ(loaded.num_sites(), store.num_sites());
-  ASSERT_EQ(loaded.num_perspectives(), store.num_perspectives());
-  for (SiteIndex v = 0; v < 4; ++v) {
-    for (SiteIndex a = 0; a < 4; ++a) {
-      EXPECT_EQ(loaded.pair_complete(v, a), store.pair_complete(v, a))
-          << "pair " << v << "," << a;
-      for (PerspectiveIndex p = 0; p < 3; ++p) {
-        EXPECT_EQ(loaded.outcome(v, a, p), store.outcome(v, a, p))
-            << "cell " << v << "," << a << "," << p;
-        EXPECT_EQ(loaded.hijacked(v, a, p), store.hijacked(v, a, p));
-      }
-    }
-  }
-  EXPECT_TRUE(loaded.pair_complete(0, 1));
-  EXPECT_FALSE(loaded.pair_complete(1, 0));
-  EXPECT_FALSE(loaded.pair_complete(2, 3));
 }
 
 TEST(ResultStore, BinaryRoundTripPreservesEveryCellIncludingUnrecorded) {
@@ -444,89 +320,6 @@ TEST(ResultStore, ExtractAttackCopiesOnePlaneWithItsTag) {
   EXPECT_THROW((void)store.extract_attack(2), std::out_of_range);
 }
 
-TEST(ResultStore, MultiPlaneCsvRoundTripPreservesPlanesAndTags) {
-  ResultStore store(3, 2,
-                    {bgp::AttackType::ForgedOriginPrepend,
-                     bgp::AttackType::RouteLeak});
-  store.record(0, 0, 1, 0, OriginReached::Adversary);
-  store.record(0, 2, 0, 1, OriginReached::None);
-  store.record(1, 0, 1, 0, OriginReached::Victim);
-  store.record(1, 1, 2, 1, OriginReached::Adversary);
-
-  std::stringstream buffer;
-  store.save_csv(buffer);
-  const ResultStore loaded = ResultStore::load_csv(buffer);
-
-  ASSERT_EQ(loaded.num_attacks(), 2u);
-  EXPECT_EQ(loaded.attack_types()[0], bgp::AttackType::ForgedOriginPrepend);
-  EXPECT_EQ(loaded.attack_types()[1], bgp::AttackType::RouteLeak);
-  for (std::size_t t = 0; t < 2; ++t) {
-    for (SiteIndex v = 0; v < 3; ++v) {
-      for (SiteIndex a = 0; a < 3; ++a) {
-        for (PerspectiveIndex p = 0; p < 2; ++p) {
-          EXPECT_EQ(loaded.outcome(t, v, a, p), store.outcome(t, v, a, p))
-              << "plane " << t << " cell " << v << "," << a << "," << p;
-        }
-        EXPECT_EQ(loaded.pair_complete(t, v, a), store.pair_complete(t, v, a));
-      }
-    }
-  }
-}
-
-TEST(ResultStore, CsvRejectsInconsistentAttackMetadata) {
-  // A schema-1 header (no attacks field, four-column rows): the file
-  // predates attack planes and is no longer read.
-  std::stringstream schema1(
-      "# schema=1\n"
-      "sites,2,perspectives,1\n"
-      "victim,adversary,perspective,outcome\n"
-      "0,1,0,2\n");
-  EXPECT_THROW((void)ResultStore::load_csv(schema1), std::runtime_error);
-
-  // Two comment tags but a one-plane header: there is nowhere to put the
-  // second plane.
-  std::stringstream two_tags(
-      "# schema=2\n"
-      "# attack_types=equally-specific,route-leak\n"
-      "sites,2,perspectives,1,attacks,1\n"
-      "victim,adversary,perspective,attack,outcome\n");
-  EXPECT_THROW((void)ResultStore::load_csv(two_tags), std::runtime_error);
-
-  // One type named twice: a bad file, not the constructor's
-  // std::invalid_argument.
-  std::stringstream repeated(
-      "# schema=2\n"
-      "# attack_types=route-leak,route-leak\n"
-      "sites,2,perspectives,1,attacks,2\n"
-      "victim,adversary,perspective,attack,outcome\n");
-  EXPECT_THROW((void)ResultStore::load_csv(repeated), std::runtime_error);
-
-  // Header plane count disagreeing with the comment list.
-  std::stringstream mismatch(
-      "# schema=2\n"
-      "# attack_types=equally-specific\n"
-      "sites,2,perspectives,1,attacks,2\n"
-      "victim,adversary,perspective,attack,outcome\n");
-  EXPECT_THROW((void)ResultStore::load_csv(mismatch), std::runtime_error);
-
-  // An unknown name in the comment.
-  std::stringstream unknown(
-      "# schema=2\n"
-      "# attack_types=warp-drive\n"
-      "sites,2,perspectives,1,attacks,1\n"
-      "victim,adversary,perspective,attack,outcome\n");
-  EXPECT_THROW((void)ResultStore::load_csv(unknown), std::runtime_error);
-
-  // A row addressing a plane the header never declared.
-  std::stringstream bad_row(
-      "# schema=2\n"
-      "# attack_types=equally-specific\n"
-      "sites,2,perspectives,1,attacks,1\n"
-      "victim,adversary,perspective,attack,outcome\n"
-      "0,1,0,1,2\n");
-  EXPECT_THROW((void)ResultStore::load_csv(bad_row), std::runtime_error);
-}
-
 TEST(ResultStore, MultiPlaneBinaryRoundTripPreservesPlanesAndTags) {
   // Odd total cell count (3 planes * 9 pairs * 3 perspectives = 81): the
   // single pad nibble sits at the very end of the last plane, not per
@@ -552,6 +345,7 @@ TEST(ResultStore, MultiPlaneBinaryRoundTripPreservesPlanesAndTags) {
           EXPECT_EQ(loaded.outcome(t, v, a, p), store.outcome(t, v, a, p))
               << "plane " << t << " cell " << v << "," << a << "," << p;
         }
+        EXPECT_EQ(loaded.pair_complete(t, v, a), store.pair_complete(t, v, a));
       }
     }
   }
@@ -589,14 +383,8 @@ TEST(ResultStore, BinaryRejectsBadAttackMetadata) {
 }
 
 TEST(ResultStore, ReadersRejectDimsAndIndicesBeyondSixteenBits) {
-  // Before the bounds, the first input wrapped sites^2 to 0 cells and its
-  // row wrote through a null plane, the second loaded as empty planes
-  // that the next hijacked_count read past, and the third recorded its
-  // row as victim 1.
-  const std::string csv_head =
-      "# schema=2\n# attack_types=equally-specific\n";
-  const std::string csv_columns =
-      "victim,adversary,perspective,attack,outcome\n";
+  // Before the bound, a file with 2^27 sites and 2^16 perspectives loaded
+  // as empty planes that the next hijacked_count read past.
   std::string mprs = {'M', 'P', 'R', 'S', 2, 0, 0, 0};
   for (const std::uint32_t dim : {1u << 27, 1u << 16, 1u}) {
     for (int shift = 0; shift < 32; shift += 8) {
@@ -604,26 +392,8 @@ TEST(ResultStore, ReadersRejectDimsAndIndicesBeyondSixteenBits) {
     }
   }
   mprs.push_back(0);  // one EquallySpecific plane
-  const struct {
-    const char* name;
-    std::string bytes;
-    ResultStore (*load)(std::istream&);
-  } cases[] = {
-      {"csv with 2^32 sites",
-       csv_head + "sites,4294967296,perspectives,1,attacks,1\n" +
-           csv_columns + "0,1,0,0,2\n",
-       &ResultStore::load_csv},
-      {"binary with 2^27 sites and 2^16 perspectives", mprs,
-       &ResultStore::load_binary},
-      {"csv row with victim 65537 under 2 sites",
-       csv_head + "sites,2,perspectives,1,attacks,1\n" + csv_columns +
-           "65537,0,0,0,2\n",
-       &ResultStore::load_csv},
-  };
-  for (const auto& c : cases) {
-    std::istringstream in(c.bytes);
-    EXPECT_THROW((void)c.load(in), std::runtime_error) << c.name;
-  }
+  std::istringstream in(mprs);
+  EXPECT_THROW((void)ResultStore::load_binary(in), std::runtime_error);
   EXPECT_THROW(ResultStore(ResultStore::kMaxSites + 1, 0),
                std::invalid_argument);
   EXPECT_THROW(ResultStore(1, ResultStore::kMaxPerspectives + 1),

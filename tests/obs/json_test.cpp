@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 namespace marcopolo::obs::json {
@@ -43,6 +44,21 @@ TEST(JsonParse, NumberCoercions) {
   EXPECT_EQ(parse("-2").u64(), 0u);          // negative clamps to 0
   EXPECT_EQ(parse("41.9").u64(), 41u);       // double truncates
   EXPECT_EQ(parse("42").i64(), 42);
+
+  // Out of range saturates. A plain cast is undefined behaviour there
+  // (it read 1e30 as 0 on x86-64). 2^64 does not fit strtoull, so the
+  // parser falls back to a double; 1e999 parses as +inf.
+  constexpr std::uint64_t kU64Max = ~std::uint64_t{0};
+  for (const char* text : {"1e30", "18446744073709551616", "1e999"}) {
+    EXPECT_EQ(parse(text).u64(), kU64Max) << text;
+    EXPECT_EQ(parse(text).i64(), INT64_MAX) << text;
+  }
+  for (const char* text : {"-1e30", "-1e999"}) {
+    EXPECT_EQ(parse(text).u64(), 0u) << text;
+    EXPECT_EQ(parse(text).i64(), INT64_MIN) << text;
+  }
+  EXPECT_EQ(parse("18446744073709551615").i64(), INT64_MAX);
+  EXPECT_EQ(parse("-9.2e18").i64(), -9'200'000'000'000'000'000);
 }
 
 TEST(JsonParse, ObjectsAndArrays) {

@@ -1,10 +1,11 @@
-// ManifestReader: RunManifest JSON and campaign_wallclock benchmark JSON
-// decode back into MetricsSnapshot-shaped data, with the same
+// ManifestReader: RunManifest JSON (campaign_wallclock's output included)
+// decodes back into MetricsSnapshot-shaped data, with the same
 // forward-compatibility policy as the journal reader.
 #include "obs/manifest_reader.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 
@@ -71,16 +72,51 @@ TEST(ManifestReader, RoundTripsARunManifest) {
   ASSERT_EQ(rh->buckets, wh->buckets);
   // Quantiles recompute identically from identical buckets.
   EXPECT_DOUBLE_EQ(rh->quantile(0.95), wh->quantile(0.95));
+}
 
-  EXPECT_TRUE(read.runs.empty());
+TEST(ManifestReader, RoundTripsPhasesWithAndWithoutTheMemoryPair) {
+  // A row timed by time_phase carries the memory pair wherever /proc is
+  // readable; an explicit pair (a negative delta here) and a plain
+  // seconds-only row round-trip as written.
+  RunManifest manifest("campaign_wallclock");
+  manifest.add_phase(time_phase("timed", [] {}));
+  manifest.add_phase(PhaseRow{.name = "shrank",
+                              .seconds = 0.0184293,
+                              .has_mem = true,
+                              .peak_rss_kb = 25'240,
+                              .rss_delta_kb = -1'692});
+  manifest.add_phase("plain", 0.125);
+  std::ostringstream out;
+  manifest.write_json(out, MetricsSnapshot{});
+
+  const ReadManifest read = ManifestReader::read_string(out.str());
+  ASSERT_TRUE(read.ok()) << read.errors.front();
+  EXPECT_EQ(read.schema, 1);
+  EXPECT_EQ(read.tool, "campaign_wallclock");
+  ASSERT_EQ(read.phases.size(), 3u);
+
+  EXPECT_EQ(read.phases[0].name, "timed");
+  EXPECT_EQ(read.phases[0].has_mem, read_memory_sample().valid);
+  if (read.phases[0].has_mem) {
+    EXPECT_GT(read.phases[0].peak_rss_kb, 0u);
+  }
+
+  const PhaseRow& shrank = read.phases[1];
+  EXPECT_EQ(shrank.seconds, 0.0184293);  // written round-trippable
+  ASSERT_TRUE(shrank.has_mem);
+  EXPECT_EQ(shrank.peak_rss_kb, 25'240u);
+  EXPECT_EQ(shrank.rss_delta_kb, -1'692);
+
+  EXPECT_EQ(read.phases[2].seconds, 0.125);
+  EXPECT_FALSE(read.phases[2].has_mem);
 }
 
 TEST(ManifestReader, ReadsPhaseMemoryPastOldCounterFields) {
-  // A campaign_wallclock phase row as written while the hardware-counter
-  // path existed: the counter fields are skipped like any unknown field,
-  // and the memory fields beside them still read.
+  // Phase rows carrying the counter fields written while the
+  // hardware-counter path existed: those are skipped like any unknown
+  // field, and the memory fields beside them still read.
   const std::string doc = R"({
-    "benchmark": "campaign_wallclock",
+    "tool": "campaign_wallclock",
     "perf_counters": "available",
     "phases": [
       {"name": "resilience_kernel_ms", "seconds": 0.25, "ms": 250,
@@ -88,14 +124,18 @@ TEST(ManifestReader, ReadsPhaseMemoryPastOldCounterFields) {
        "cache_references": 50000000, "cache_misses": 5000000,
        "branch_misses": 1000000, "ipc": 2.0, "cache_miss_rate": 0.1,
        "peak_rss_kb": 262144, "rss_delta_kb": -512},
-      {"name": "plain_phase", "seconds": 0.5, "ms": 500}
+      {"name": "plain_phase", "seconds": 0.5, "ms": 500},
+      {"name": "out_of_range", "seconds": 1,
+       "peak_rss_kb": 1e30, "rss_delta_kb": 1e300},
+      {"name": "out_of_range_down", "seconds": 1,
+       "peak_rss_kb": -1e30, "rss_delta_kb": -1e300}
     ]
   })";
   const ReadManifest read = ManifestReader::read_string(doc);
   ASSERT_TRUE(read.ok()) << read.errors.front();
-  ASSERT_EQ(read.phases.size(), 2u);
+  ASSERT_EQ(read.phases.size(), 4u);
 
-  const ReadPhase& phase = read.phases[0];
+  const PhaseRow& phase = read.phases[0];
   EXPECT_EQ(phase.name, "resilience_kernel_ms");
   EXPECT_EQ(phase.seconds, 0.25);
   ASSERT_TRUE(phase.has_mem);
@@ -103,6 +143,13 @@ TEST(ManifestReader, ReadsPhaseMemoryPastOldCounterFields) {
   EXPECT_EQ(phase.rss_delta_kb, -512);
 
   EXPECT_FALSE(read.phases[1].has_mem);
+
+  // Out-of-range numbers saturate; a plain cast is undefined behaviour
+  // (it read the 1e300 delta as INT64_MIN on x86-64).
+  EXPECT_EQ(read.phases[2].peak_rss_kb, ~std::uint64_t{0});
+  EXPECT_EQ(read.phases[2].rss_delta_kb, INT64_MAX);
+  EXPECT_EQ(read.phases[3].peak_rss_kb, 0u);
+  EXPECT_EQ(read.phases[3].rss_delta_kb, INT64_MIN);
 }
 
 TEST(ManifestReader, PreCounterDocumentsParseCleanly) {
@@ -117,43 +164,6 @@ TEST(ManifestReader, PreCounterDocumentsParseCleanly) {
   ASSERT_TRUE(read.ok()) << read.errors.front();
   ASSERT_EQ(read.phases.size(), 1u);
   EXPECT_FALSE(read.phases[0].has_mem);
-}
-
-TEST(ManifestReader, ReadsCampaignWallclockDocuments) {
-  const std::string doc = R"({
-    "benchmark": "campaign_wallclock",
-    "version": "abc1234",
-    "config": {"ases": 943, "pairs": 2048},
-    "runs": [
-      {"threads": 1, "seconds": 0.5, "speedup_vs_1": 1.0,
-       "tasks": 2048, "propagations": 1984, "store_identical": true},
-      {"threads": 2, "seconds": 0.3, "speedup_vs_1": 1.67,
-       "tasks": 2048, "propagations": 1984, "store_identical": true}
-    ],
-    "recording": {"seconds": 0.52, "recording_overhead": 0.04,
-                  "store_identical": true, "task_spans": 2048,
-                  "verdicts": 211046},
-    "metrics": {"counters": {"campaign.tasks_executed": 2048},
-                "histograms": {}}
-  })";
-  const ReadManifest read = ManifestReader::read_string(doc);
-  ASSERT_TRUE(read.ok()) << read.errors.front();
-  EXPECT_EQ(read.schema, 0);  // bench documents carry no manifest_schema
-  EXPECT_EQ(read.tool, "campaign_wallclock");
-  EXPECT_EQ(read.version, "abc1234");
-
-  ASSERT_EQ(read.runs.size(), 2u);
-  EXPECT_EQ(read.runs[0].threads, 1u);
-  EXPECT_EQ(read.runs[0].seconds, 0.5);
-  EXPECT_EQ(read.runs[0].tasks, 2048u);
-  EXPECT_EQ(read.runs[0].propagations, 1984u);
-  EXPECT_TRUE(read.runs[0].store_identical);
-  EXPECT_DOUBLE_EQ(read.runs[0].throughput(), 2048.0 / 0.5);
-  EXPECT_EQ(read.runs[1].threads, 2u);
-
-  // The recording section (with the recording_overhead figure older
-  // documents carry) is skipped like any unknown section.
-  EXPECT_EQ(read.metrics.counter("campaign.tasks_executed"), 2048u);
 }
 
 TEST(ManifestReader, QuantileFieldsAreRecomputedNotTrusted) {
@@ -180,12 +190,19 @@ TEST(ManifestReader, UnknownFieldsAndSectionsAreIgnored) {
     "manifest_schema": 1, "tool": "t",
     "config": {"k": 1}, "phases": [],
     "future_section": {"a": [1, 2, 3]},
-    "metrics": {"counters": {"c": 5}, "histograms": {},
-                "future_subsection": true}
+    "metrics": {"counters": {"c": 5, "huge": 1e30, "negative": -1e30,
+                             "past_u64": 18446744073709551616,
+                             "infinite": 1e999},
+                "histograms": {}, "future_subsection": true}
   })";
   const ReadManifest read = ManifestReader::read_string(doc);
   ASSERT_TRUE(read.ok()) << read.errors.front();
   EXPECT_EQ(read.metrics.counter("c"), 5u);
+  // Counters out of the uint64 range saturate instead of reading as 0.
+  EXPECT_EQ(read.metrics.counter("huge"), ~std::uint64_t{0});
+  EXPECT_EQ(read.metrics.counter("negative"), 0u);
+  EXPECT_EQ(read.metrics.counter("past_u64"), ~std::uint64_t{0});
+  EXPECT_EQ(read.metrics.counter("infinite"), ~std::uint64_t{0});
 }
 
 TEST(ManifestReader, MalformedDocumentsReportErrors) {
@@ -196,10 +213,14 @@ TEST(ManifestReader, MalformedDocumentsReportErrors) {
       ManifestReader::read_file("/nonexistent-dir/manifest.json").ok());
 }
 
-TEST(ManifestReader, DocumentWithNeitherToolNorBenchmarkIsAnError) {
-  const ReadManifest read =
-      ManifestReader::read_string(R"({"something": "else"})");
-  EXPECT_FALSE(read.ok());
+TEST(ManifestReader, DocumentWithBenchmarkButNoToolIsAnError) {
+  // The bench dialect campaign_wallclock used to write named itself with
+  // "benchmark"; it is not a run manifest and gets no fallback.
+  const ReadManifest bench = ManifestReader::read_string(
+      R"({"benchmark": "run_paper_campaigns", "runs": [], "phases": []})");
+  ASSERT_FALSE(bench.ok());
+  EXPECT_NE(bench.errors.front().find("no \"tool\""), std::string::npos);
+  EXPECT_FALSE(ManifestReader::read_string(R"({"something": "else"})").ok());
 }
 
 }  // namespace

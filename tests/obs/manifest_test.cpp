@@ -152,16 +152,5 @@ TEST(RunManifest, WriteFileIsAtomicAndLeavesNoTmpBehind) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(WriteMetricsJson, StandaloneDocumentParses) {
-  MetricsRegistry reg;
-  reg.counter("a").add(1);
-  reg.histogram("b").observe(3);
-  std::ostringstream out;
-  write_metrics_json(out, reg.snapshot(), "    ");
-  const json::Value doc = parse(out.str());
-  EXPECT_EQ(doc.at("counters").at("a").u64(), 1u);
-  EXPECT_EQ(doc.at("histograms").at("b").at("count").u64(), 1u);
-}
-
 }  // namespace
 }  // namespace marcopolo::obs

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -108,17 +110,19 @@ TEST(PhaseAttribution, SplitsSpansPerAttackPlane) {
   EXPECT_EQ(es.propagate_ns + sub.propagate_ns, multi.propagate_ns);
 }
 
-/// A campaign_wallclock-shaped document with adjustable timing.
+/// A campaign_wallclock-shaped document with adjustable timing: one
+/// phase per thread count of the campaign sweep.
 ReadManifest bench_doc(double t1_seconds, double t2_seconds,
                        std::uint64_t task_ns_scale = 1,
                        std::uint64_t tasks = 2048) {
-  std::string doc = R"({"benchmark": "campaign_wallclock", "runs": [)";
-  doc += R"({"threads": 1, "seconds": )" + std::to_string(t1_seconds) +
-         R"(, "tasks": )" + std::to_string(tasks) +
-         R"(, "propagations": 1984},)";
-  doc += R"({"threads": 2, "seconds": )" + std::to_string(t2_seconds) +
-         R"(, "tasks": )" + std::to_string(tasks) +
-         R"(, "propagations": 1984}],)";
+  std::string doc =
+      R"({"manifest_schema": 1, "tool": "campaign_wallclock", "phases": [)";
+  doc += R"({"name": "paper_campaigns_threads_1_ms", "seconds": )" +
+         std::to_string(t1_seconds) +
+         R"(, "peak_rss_kb": 16928, "rss_delta_kb": 0},)";
+  doc += R"({"name": "paper_campaigns_threads_2_ms", "seconds": )" +
+         std::to_string(t2_seconds) +
+         R"(, "peak_rss_kb": 17100, "rss_delta_kb": 172}],)";
   // One log2 bucket per sample keeps the quantile shift proportional to
   // the bucket bound scale.
   const std::uint64_t le = (std::uint64_t{1} << 18) - 1;
@@ -139,10 +143,12 @@ TEST(CompareRuns, SelfComparisonIsAllZeroAndPasses) {
   const ReadManifest doc = bench_doc(0.5, 0.3);
   const RunComparison comparison = compare_runs(doc, doc);
 
-  ASSERT_EQ(comparison.runs.size(), 2u);
-  for (const BenchRunDelta& run : comparison.runs) {
-    EXPECT_DOUBLE_EQ(run.seconds_pct(), 0.0);
-    EXPECT_DOUBLE_EQ(run.base_throughput, run.cand_throughput);
+  ASSERT_EQ(comparison.phases.size(), 2u);
+  for (const PhaseDelta& phase : comparison.phases) {
+    EXPECT_TRUE(phase.in_base && phase.in_cand);
+    EXPECT_DOUBLE_EQ(phase.pct(), 0.0);
+    EXPECT_TRUE(phase.base_has_mem && phase.cand_has_mem);
+    EXPECT_EQ(phase.base_peak_rss_kb, phase.cand_peak_rss_kb);
   }
   ASSERT_EQ(comparison.quantiles.size(), 3u);  // one histogram x 3 q's
   for (const QuantileDelta& quantile : comparison.quantiles) {
@@ -166,7 +172,8 @@ TEST(CompareRuns, WallClockRegressionFailsTheGate) {
       evaluate_gate(compare_runs(base, cand), DiffGateConfig{25.0});
   EXPECT_FALSE(gate.pass);
   ASSERT_EQ(gate.violations.size(), 1u);
-  EXPECT_NE(gate.violations[0].find("threads=1"), std::string::npos);
+  EXPECT_NE(gate.violations[0].find("phase paper_campaigns_threads_1_ms"),
+            std::string::npos);
   EXPECT_NE(gate.violations[0].find("+60.0%"), std::string::npos);
 }
 
@@ -193,6 +200,15 @@ TEST(CompareRuns, ImprovementAndThresholdRespectTheConfig) {
   const ReadManifest slower = bench_doc(0.8, 0.3);
   EXPECT_TRUE(
       evaluate_gate(compare_runs(base, slower), DiffGateConfig{100.0}).pass);
+
+  // A bound no regression can breach is refused, not passed: every
+  // `pct > NaN` is false, so a NaN bound would pass +900%.
+  const RunComparison much_slower = compare_runs(base, bench_doc(5.0, 0.3));
+  for (const double bound : {std::nan(""), -5.0, HUGE_VAL}) {
+    EXPECT_THROW((void)evaluate_gate(much_slower, DiffGateConfig{bound}),
+                 std::invalid_argument)
+        << bound;
+  }
 }
 
 /// A minimal doc whose single time histogram has all mass at `ns`.
@@ -250,7 +266,7 @@ TEST(CompareRuns, OneSidedCountersAreNoted) {
 /// A bench-shaped document carrying only named phases.
 ReadManifest phase_doc(const std::vector<std::pair<std::string, double>>&
                            phases) {
-  std::string doc = R"({"benchmark": "campaign_wallclock", "phases": [)";
+  std::string doc = R"({"tool": "campaign_wallclock", "phases": [)";
   for (std::size_t i = 0; i < phases.size(); ++i) {
     doc += std::string(i ? "," : "") + R"({"name": ")" + phases[i].first +
            R"(", "seconds": )" + std::to_string(phases[i].second) + "}";
@@ -315,13 +331,13 @@ TEST(CompareRuns, OneSidedPhaseIsANoteNeverAViolation) {
 }
 
 TEST(CompareRuns, OldCounterFieldsLoadAndDiffOnWallClockAlone) {
-  // Bench documents written while the hardware-counter path existed carry
-  // a "perf_counters" echo and per-phase counter fields. They still read,
-  // and the diff gates wall clock alone: instructions up 10% with an
-  // unchanged wall clock is neither a violation nor a note.
+  // A "perf_counters" echo and per-phase counter fields, as written while
+  // the hardware-counter path existed, are skipped like any unknown
+  // field, and the diff gates wall clock alone: instructions up 10% with
+  // an unchanged wall clock is neither a violation nor a note.
   const auto old_doc = [](std::uint64_t instructions) {
     const ReadManifest read = ManifestReader::read_string(
-        R"({"benchmark": "campaign_wallclock", "perf_counters": "available",
+        R"({"tool": "campaign_wallclock", "perf_counters": "available",
             "perf_counters_reason": "",
             "phases": [{"name": "resilience_kernel_ms", "seconds": 0.25,
                         "ms": 250, "instructions": )" +

@@ -1,8 +1,7 @@
 // Byte-identity helpers for ResultStore tests.
 //
 // Compare saved stores with EXPECT_TRUE(same_bytes(a, b)), never with
-// EXPECT_EQ on the strings: on a mismatch gtest builds a line diff whose
-// table is quadratic in the line count, tens of GB for a store.
+// EXPECT_EQ on the strings: on a mismatch gtest prints both in full.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -15,25 +14,23 @@
 
 namespace marcopolo::testing_support {
 
-/// The store's canonical CSV artifact.
-inline std::string csv_bytes(const core::ResultStore& store) {
+/// The store's MPRS bytes (save_binary): every cell, unrecorded holes
+/// included, plus the attack-type tags. tests/golden/digests.txt hashes
+/// the same bytes.
+inline std::string mprs_bytes(const core::ResultStore& store) {
   std::ostringstream out;
-  store.save_csv(out);
+  store.save_binary(out);
   return out.str();
 }
 
-/// Byte equality of two CSV dumps, naming the first line that differs.
+/// Byte equality of two saved stores, naming the first byte that differs.
 inline ::testing::AssertionResult same_bytes(const std::string& a,
                                              const std::string& b) {
   if (a == b) return ::testing::AssertionSuccess();
-  std::size_t line = 1;
-  for (std::size_t i = 0; i < std::min(a.size(), b.size()) && a[i] == b[i];
-       ++i) {
-    if (a[i] == '\n') ++line;
-  }
+  const auto diff = std::mismatch(a.begin(), a.end(), b.begin(), b.end());
   return ::testing::AssertionFailure()
-         << "CSV bytes differ from line " << line << " onward (sizes "
-         << a.size() << " vs " << b.size() << ")";
+         << "store bytes differ from byte " << (diff.first - a.begin())
+         << " onward (sizes " << a.size() << " vs " << b.size() << ")";
 }
 
 }  // namespace marcopolo::testing_support

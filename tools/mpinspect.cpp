@@ -17,12 +17,11 @@
 //
 //   mpinspect diff <baseline.json> <candidate.json>
 //             [--max-regress-pct <P>] [--json]
-//       Compare two run manifests / campaign_wallclock documents:
-//       per-thread-count wall-clock and throughput, per-phase wall-clock,
-//       histogram p50/p95/p99 shifts, counter drift. Exits 1 when a gated
-//       quantity regresses: wall clock by more than P percent (default
-//       25). --json emits a machine-readable report on stdout instead of
-//       tables.
+//       Compare two run manifests (campaign_wallclock writes one per
+//       run): per-phase wall-clock, histogram p50/p95/p99 shifts, counter
+//       drift. Exits 1 when a gated quantity regresses: wall clock by
+//       more than P percent (default 25; a finite number >= 0). --json
+//       emits a machine-readable report on stdout instead of tables.
 //
 //   mpinspect check <trace-dir> [--manifest <run.json>]
 //       Structural validation of a trace bundle: journal schema tag,
@@ -59,7 +58,9 @@
 //       malformed input.
 //
 // Exit codes: 0 ok, 1 check/gate failure, 2 usage or I/O error.
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -198,10 +199,8 @@ void summarize_journal_json(const obs::ReadJournal& read) {
 
 void summarize_manifest_json(const obs::ReadManifest& manifest) {
   std::printf("{\n");
-  std::printf("  \"tool\": \"%s\",\n  \"version\": \"%s\",\n"
-              "  \"schema\": %d,\n",
-              obs::json_escape(manifest.tool).c_str(),
-              obs::json_escape(manifest.version).c_str(), manifest.schema);
+  std::printf("  \"tool\": \"%s\",\n  \"schema\": %d,\n",
+              obs::json_escape(manifest.tool).c_str(), manifest.schema);
   std::printf("  \"config\": {");
   bool first = true;
   for (const auto& [key, value] : manifest.config) {
@@ -213,7 +212,7 @@ void summarize_manifest_json(const obs::ReadManifest& manifest) {
   std::printf("},\n");
   std::printf("  \"phases\": [");
   for (std::size_t i = 0; i < manifest.phases.size(); ++i) {
-    const obs::ReadPhase& phase = manifest.phases[i];
+    const obs::PhaseRow& phase = manifest.phases[i];
     std::printf("%s\n    {\"name\": \"%s\", \"seconds\": %g",
                 i == 0 ? "" : ",", obs::json_escape(phase.name).c_str(),
                 phase.seconds);
@@ -224,16 +223,6 @@ void summarize_manifest_json(const obs::ReadManifest& manifest) {
     std::printf("}");
   }
   std::printf("%s],\n", manifest.phases.empty() ? "" : "\n  ");
-  std::printf("  \"runs\": [");
-  for (std::size_t i = 0; i < manifest.runs.size(); ++i) {
-    const obs::BenchRunRow& run = manifest.runs[i];
-    std::printf("%s\n    {\"threads\": %llu, \"seconds\": %g, "
-                "\"tasks_per_s\": %g, \"store_identical\": %s}",
-                i == 0 ? "" : ",",
-                static_cast<unsigned long long>(run.threads), run.seconds,
-                run.throughput(), run.store_identical ? "true" : "false");
-  }
-  std::printf("%s],\n", manifest.runs.empty() ? "" : "\n  ");
   std::printf("  \"histograms\": [");
   for (std::size_t i = 0; i < manifest.metrics.histograms.size(); ++i) {
     const obs::HistogramSnapshot& h = manifest.metrics.histograms[i];
@@ -340,11 +329,7 @@ void summarize_journal(const obs::ReadJournal& read) {
 }
 
 void summarize_manifest(const obs::ReadManifest& manifest) {
-  std::printf("%s: %s%s%s\n",
-              manifest.schema != 0 ? "manifest" : "benchmark",
-              manifest.tool.c_str(),
-              manifest.version.empty() ? "" : " @ ",
-              manifest.version.c_str());
+  std::printf("manifest: %s\n", manifest.tool.c_str());
   if (!manifest.config.empty()) {
     analysis::TextTable table({"Config", "Value"});
     for (const auto& [key, value] : manifest.config) {
@@ -354,13 +339,13 @@ void summarize_manifest(const obs::ReadManifest& manifest) {
   }
   if (!manifest.phases.empty()) {
     bool any_mem = false;
-    for (const obs::ReadPhase& phase : manifest.phases) {
+    for (const obs::PhaseRow& phase : manifest.phases) {
       any_mem = any_mem || phase.has_mem;
     }
     std::vector<std::string> header = {"Phase", "Seconds"};
     if (any_mem) header.push_back("Peak RSS");
     analysis::TextTable table(header);
-    for (const obs::ReadPhase& phase : manifest.phases) {
+    for (const obs::PhaseRow& phase : manifest.phases) {
       std::vector<std::string> row = {phase.name,
                                       format_double(phase.seconds)};
       if (any_mem) {
@@ -372,17 +357,6 @@ void summarize_manifest(const obs::ReadManifest& manifest) {
                           : "-");
       }
       table.add_row(row);
-    }
-    std::printf("\n%s", table.to_string().c_str());
-  }
-  if (!manifest.runs.empty()) {
-    analysis::TextTable table(
-        {"Threads", "Seconds", "Tasks/s", "Store identical"});
-    for (const obs::BenchRunRow& run : manifest.runs) {
-      table.add_row({std::to_string(run.threads),
-                     format_double(run.seconds),
-                     format_double(run.throughput(), "%.1f"),
-                     run.store_identical ? "yes" : "NO"});
     }
     std::printf("\n%s", table.to_string().c_str());
   }
@@ -593,21 +567,6 @@ int cmd_hotspots(const std::vector<std::string>& args) {
 // diff
 
 void print_diff_tables(const obs::RunComparison& comparison) {
-  if (!comparison.runs.empty()) {
-    analysis::TextTable table(
-        {"Threads", "Base s", "Cand s", "Wall delta", "Base tasks/s",
-         "Cand tasks/s"});
-    for (const obs::BenchRunDelta& run : comparison.runs) {
-      table.add_row({std::to_string(run.threads),
-                     format_double(run.base_seconds),
-                     format_double(run.cand_seconds),
-                     format_signed_pct(run.seconds_pct()),
-                     format_double(run.base_throughput, "%.1f"),
-                     format_double(run.cand_throughput, "%.1f")});
-    }
-    std::printf("Wall clock by thread count:\n%s\n",
-                table.to_string().c_str());
-  }
   if (!comparison.phases.empty()) {
     analysis::TextTable table({"Phase", "Base s", "Cand s", "Delta"});
     for (const obs::PhaseDelta& phase : comparison.phases) {
@@ -697,16 +656,6 @@ void print_diff_json(const obs::RunComparison& comparison,
               obs::json_escape(cand_path).c_str());
   std::printf("  \"max_regress_pct\": %g,\n", config.max_regress_pct);
   std::printf("  \"pass\": %s,\n", gate.pass ? "true" : "false");
-  std::printf("  \"runs\": [");
-  for (std::size_t i = 0; i < comparison.runs.size(); ++i) {
-    const obs::BenchRunDelta& run = comparison.runs[i];
-    std::printf("%s\n    {\"threads\": %llu, \"base_seconds\": %g, "
-                "\"cand_seconds\": %g, \"seconds_pct\": %g}",
-                i == 0 ? "" : ",",
-                static_cast<unsigned long long>(run.threads),
-                run.base_seconds, run.cand_seconds, run.seconds_pct());
-  }
-  std::printf("%s],\n", comparison.runs.empty() ? "" : "\n  ");
   std::printf("  \"phases\": [");
   for (std::size_t i = 0; i < comparison.phases.size(); ++i) {
     const obs::PhaseDelta& phase = comparison.phases[i];
@@ -788,11 +737,17 @@ int cmd_diff(const std::vector<std::string>& args) {
   bool as_json = false;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--max-regress-pct" && i + 1 < args.size()) {
-      try {
-        config.max_regress_pct = std::stod(args[++i]);
-      } catch (const std::exception&) {
-        std::fprintf(stderr, "bad --max-regress-pct: %s\n", args[i].c_str());
-        return 2;
+      // One whole token, finite and >= 0: a prefix parse would read
+      // "25x" as 25, and no `pct >` comparison ever exceeds a NaN bound.
+      const std::string& text = args[++i];
+      double& pct = config.max_regress_pct;
+      const auto [stop, ec] =
+          std::from_chars(text.data(), text.data() + text.size(), pct);
+      if (ec != std::errc() || stop != text.data() + text.size() ||
+          !std::isfinite(pct) || pct < 0.0) {
+        std::fprintf(stderr, "bad --max-regress-pct '%s' (want a finite "
+                     "percent >= 0)\n", text.c_str());
+        return usage();
       }
     } else if (args[i] == "--json") {
       as_json = true;
@@ -819,12 +774,8 @@ int cmd_diff(const std::vector<std::string>& args) {
     print_diff_json(comparison, gate, config, paths[0], paths[1]);
   } else {
     std::printf("baseline:  %s (%s)\ncandidate: %s (%s)\n\n",
-                paths[0].c_str(),
-                base.version.empty() ? base.tool.c_str()
-                                     : base.version.c_str(),
-                paths[1].c_str(),
-                cand.version.empty() ? cand.tool.c_str()
-                                     : cand.version.c_str());
+                paths[0].c_str(), base.tool.c_str(), paths[1].c_str(),
+                cand.tool.c_str());
     print_diff_tables(comparison);
     for (const std::string& note : gate.notes) {
       std::printf("note: %s\n", note.c_str());

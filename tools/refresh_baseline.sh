@@ -2,10 +2,11 @@
 # Rebuild the checked-in CI perf baseline (bench/baseline/campaign_wallclock.json).
 #
 # Runs the campaign_wallclock bench best-of-N and keeps the run with the
-# fastest serial campaign, so a one-off scheduler hiccup never becomes the
-# number every future PR is compared against. The bench JSON is already
-# self-describing — git describe and hostname are embedded by the bench
-# itself — so the kept run IS the provenance record.
+# fastest serial campaign (its paper_campaigns_threads_1_ms phase), so a
+# one-off scheduler hiccup never becomes the number every future PR is
+# compared against. The bench writes a run manifest whose config echo
+# carries git describe, hostname and hardware concurrency, so the kept run
+# IS the provenance record.
 #
 # Usage: refresh_baseline.sh <campaign_wallclock-binary> <output.json> [reps]
 #
@@ -25,11 +26,12 @@ REPS=${3:-3}
 workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
 
-# Serial campaign seconds of one bench JSON — the selection key. Gated
-# phases are already best-of-3 inside the bench; the serial sweep row is
-# the one quantity a single rerun can still rescue.
+# Serial campaign seconds of one bench manifest — the selection key. The
+# 50k and kernel phases are already best-of-3 inside the bench; the serial
+# sweep phase is the one quantity a single rerun can still rescue.
 serial_seconds() {
-    sed -n 's/.*"threads": 1, "seconds": \([0-9.e+-]*\),.*/\1/p' "$1" | head -n 1
+    sed -n 's/.*"name": "paper_campaigns_threads_1_ms", "seconds": \([0-9.e+-]*\).*/\1/p' \
+        "$1" | head -n 1
 }
 
 best=""
@@ -40,7 +42,7 @@ while [ "$i" -le "$REPS" ]; do
     "$BENCH" "$workdir/rep$i.json" 1 2 >&2
     secs=$(serial_seconds "$workdir/rep$i.json")
     if [ -z "$secs" ]; then
-        echo "refresh_baseline: rep $i produced no serial run row" >&2
+        echo "refresh_baseline: rep $i produced no threads=1 phase" >&2
         exit 1
     fi
     echo "refresh_baseline: rep $i serial campaign ${secs}s" >&2
