@@ -57,14 +57,12 @@
 // counts or observers, packed vs scalar optimizer, pair completeness) or
 // an artifact cannot be written, the manifest being written either way;
 // 2 usage.
-#include <charconv>
 #include <iostream>
 #include <optional>
 #include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -100,14 +98,6 @@ std::string hostname() {
   if (::gethostname(buf, sizeof(buf) - 1) == 0 && buf[0] != '\0') return buf;
 #endif
   return "unknown";
-}
-
-/// `text` as one whole positive decimal token, else 0.
-std::size_t positive_count(std::string_view text) {
-  std::size_t n = 0;
-  const char* end = text.data() + text.size();
-  const auto [stop, ec] = std::from_chars(text.data(), end, n);
-  return ec == std::errc() && stop == end ? n : 0;
 }
 
 /// Which measurement groups this invocation runs (--phases).
@@ -211,10 +201,9 @@ int main(int argc, char** argv) {
       }
     } else if (out_path.empty()) {
       out_path = arg;
-    } else if (const std::size_t threads = positive_count(arg); threads) {
-      thread_counts.push_back(threads);
     } else {
-      args.error = "bad thread count '" + arg + "' (want a positive integer)";
+      thread_counts.push_back(static_cast<std::size_t>(
+          obs::parse_count("thread count", arg, args.error)));
     }
   }
   if (!args.error.empty()) {

@@ -10,8 +10,9 @@
 // Usage:
 //   attack_matrix [--attacks <csv|all>] [--ases <n>] [--threads <n>]
 //                 [--quorum <n>] [--out <matrix.json>]
+// --threads 0 (the default) means hardware concurrency; a malformed
+// value exits 2 with this usage.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -19,39 +20,43 @@
 #include <string>
 
 #include "analysis/attack_matrix.hpp"
+#include "obs/session.hpp"
 
 using namespace marcopolo;
 
 int main(int argc, char** argv) {
   analysis::AttackMatrixConfig config;
   std::string out_path;
-  for (int i = 1; i < argc; ++i) {
+  std::string error;
+  for (int i = 1; i < argc && error.empty(); ++i) {
     if (std::strcmp(argv[i], "--attacks") == 0 && i + 1 < argc) {
       try {
         config.attacks = bgp::parse_attack_list(argv[++i]);
       } catch (const std::invalid_argument& e) {
-        std::cerr << e.what() << std::endl;
-        return 2;
+        error = e.what();
       }
     } else if (std::strcmp(argv[i], "--ases") == 0 && i + 1 < argc) {
-      try {
-        config.internet = topo::scaled_internet_config(std::atoi(argv[++i]));
-      } catch (const std::invalid_argument& e) {
-        std::cerr << e.what() << std::endl;
-        return 2;
-      }
+      // scaled_internet_config needs at least 64 ASes.
+      config.internet = topo::scaled_internet_config(
+          obs::parse_count("--ases", argv[++i], error, 64));
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      config.threads = static_cast<std::size_t>(std::atoi(argv[++i]));
+      config.threads = static_cast<std::size_t>(
+          obs::parse_count("--threads", argv[++i], error, /*min=*/0));
     } else if (std::strcmp(argv[i], "--quorum") == 0 && i + 1 < argc) {
-      config.quorum_required = static_cast<std::size_t>(std::atoi(argv[++i]));
+      config.quorum_required = static_cast<std::size_t>(
+          obs::parse_count("--quorum", argv[++i], error));
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     } else {
-      std::cerr << "usage: attack_matrix [--attacks <csv|all>] [--ases <n>] "
-                   "[--threads <n>] [--quorum <n>] [--out <matrix.json>]"
-                << std::endl;
-      return 2;
+      error = "unexpected argument " + std::string(argv[i]);
     }
+  }
+  if (!error.empty()) {
+    std::cerr << error << "\nusage: attack_matrix [--attacks <csv|all>] "
+                 "[--ases <n>] [--threads <n>] [--quorum <n>] "
+                 "[--out <matrix.json>]"
+              << std::endl;
+    return 2;
   }
 
   std::printf("Building attack x defense matrix: %zu attack type(s), "

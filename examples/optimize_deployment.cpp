@@ -8,7 +8,7 @@
 // Usage: optimize_deployment [provider] [count] [--attacks <csv|all>]
 //                            [observer flags]
 //   provider: aws | gcp | azure   (default azure)
-//   count:    5..8                (default 6)
+//   count:    2..12               (default 6)
 //
 // With --attacks the campaign sweeps every listed attack type (one store
 // plane each) and the optimizer scores deployments against the worst
@@ -66,6 +66,11 @@ int main(int argc, char** argv) {
       args.error = e.what();
     }
   }
+  const std::size_t count =
+      positional.size() > 1
+          ? static_cast<std::size_t>(
+                obs::parse_count("count", positional[1], args.error, 2))
+          : 6;
   if (!args.error.empty()) {
     std::fprintf(stderr,
                  "%s\nusage: optimize_deployment [provider] [count] "
@@ -76,11 +81,7 @@ int main(int argc, char** argv) {
   const topo::CloudProvider provider = !positional.empty()
                                            ? parse_provider(positional[0])
                                            : topo::CloudProvider::Azure;
-  const std::size_t count =
-      positional.size() > 1
-          ? static_cast<std::size_t>(std::atoi(positional[1]))
-          : 6;
-  if (count < 2 || count > 12) {
+  if (count > 12) {
     std::fprintf(stderr, "count must be in [2, 12]\n");
     return 2;
   }

@@ -10,9 +10,6 @@ namespace marcopolo::core {
 
 namespace {
 
-/// Completions a worker retires between progress-hook calls.
-constexpr std::size_t kProgressEvery = 64;
-
 /// Campaign-level metric handles, interned once per run (outside the
 /// workers). All-null when the config carries no registry, which makes
 /// every update below a single predictable branch.
@@ -71,7 +68,7 @@ struct CampaignMetrics {
 /// attack per adversary. Announcer-major grouping lets a worker propagate
 /// the announcer's victim-only baseline once and replay each adversary as
 /// a delta over it (config.incremental); per-(announcer, adversary)
-/// accounting — tasks_executed, task spans, progress — is unchanged.
+/// accounting — tasks_executed, task spans, telemetry — is unchanged.
 /// Under the HTTP surface each victim is its own announcer; under the DNS
 /// surface victims sharing a nameserver host collapse into one announcer —
 /// the scenario cache the serial engine lacked.
@@ -104,7 +101,7 @@ class CampaignWorker {
 
   /// Run every adversary against this announcer, sweeping every attack
   /// type per pair. Returns the number of attacks executed — the
-  /// campaign's progress/accounting unit, one per (announcer, adversary,
+  /// campaign's telemetry/accounting unit, one per (announcer, adversary,
   /// attack) triple. The announcer's victim-only baseline is computed
   /// once and shared by every (adversary, attack) replay below.
   std::size_t run(const CampaignTask& task) {
@@ -330,7 +327,7 @@ ResultStore run_fast_campaign(const Testbed& testbed,
 
   // One task per announcer; the worker iterates every adversary inside it
   // (baseline reuse). Accounting stays per (announcer, adversary) attack:
-  // tasks_executed, task spans, and progress all count attacks, exactly as
+  // tasks_executed, task spans, and telemetry all count attacks, exactly as
   // when each attack was its own task.
   std::vector<CampaignTask> tasks;
   tasks.reserve(sites.size());
@@ -369,10 +366,8 @@ ResultStore run_fast_campaign(const Testbed& testbed,
   // go to per-thread shards and results to disjoint cells, so neither
   // the thread count nor the registry being attached can perturb bytes.
   std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> completed{0};
   const obs::Observers& observers = config.observers;
-  const std::size_t progress_every = observers.progress ? kProgressEvery : 0;
-  // The telemetry hub counts the same unit as progress: attacks.
+  // The telemetry hub counts attacks.
   if (observers.telemetry != nullptr) {
     observers.telemetry->add_planned_tasks(total_attacks);
   }
@@ -392,29 +387,14 @@ ResultStore run_fast_campaign(const Testbed& testbed,
         observers.telemetry != nullptr
             ? observers.telemetry->open_worker_slot()
             : nullptr;
-    std::size_t done_local = 0;
     while (true) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= tasks.size()) break;
-      // Progress is reported in attacks (pairs), the same unit as before
-      // the announcer-major regrouping; one task retires sites.size() of
-      // them at once.
+      // Completions are counted in attacks (pairs), the same unit as
+      // before the announcer-major regrouping; one task retires
+      // sites.size() of them at once.
       const std::size_t retired = worker.run(tasks[i]);
-      done_local += retired;
       if (slot != nullptr) observers.telemetry->note_task_done(slot, retired);
-      if (progress_every != 0 && done_local >= progress_every) {
-        observers.progress(
-            completed.fetch_add(done_local, std::memory_order_relaxed) +
-                done_local,
-            total_attacks);
-        done_local = 0;
-      }
-    }
-    if (progress_every != 0 && done_local != 0) {
-      const std::size_t done =
-          completed.fetch_add(done_local, std::memory_order_relaxed) +
-          done_local;
-      if (done == total_attacks) observers.progress(done, total_attacks);
     }
     if (slot != nullptr) observers.telemetry->close_worker_slot(slot);
   };

@@ -75,7 +75,7 @@ struct FastCampaignConfig {
   /// A pure optimization — the store is byte-identical with this on or
   /// off (asserted by tests); off forces a full propagation per pair.
   bool incremental = true;
-  /// Optional observers (obs/observers.hpp). Progress and telemetry count
+  /// Optional observers (obs/observers.hpp). Telemetry counts
   /// (announcer, adversary, attack) triples.
   obs::Observers observers;
 
@@ -104,7 +104,7 @@ struct FastCampaignConfig {
 /// outcome is recorded for each of them (and a victim whose nameserver
 /// host is the adversary itself is a total capture, no propagation).
 /// With a multi-entry attack list every (announcer, adversary) pair is
-/// swept once per attack type into that type's store plane; the progress/
+/// swept once per attack type into that type's store plane; the
 /// metrics/telemetry accounting unit is the (announcer, adversary,
 /// attack) triple. The saved CSV carries a `# schema=2` version comment
 /// (see ResultStore::save_csv).

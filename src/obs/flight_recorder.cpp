@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/log.hpp"
-
 namespace marcopolo::obs {
 
 std::size_t FlightJournal::task_count() const {
@@ -78,73 +76,6 @@ FlightJournal FlightRecorder::drain() {
   verdicts_.store(0, std::memory_order_relaxed);
   adversary_verdicts_.store(0, std::memory_order_relaxed);
   return journal;
-}
-
-ProgressReporter::ProgressReporter(const FlightRecorder* recorder,
-                                   double min_interval_s, std::FILE* out)
-    : recorder_(recorder),
-      min_interval_(min_interval_s),
-      start_(std::chrono::steady_clock::now()) {
-  if (out == stderr) {
-    guard_ = &LineGuard::stderr_guard();
-  } else {
-    owned_guard_ = std::make_unique<LineGuard>(out);
-    guard_ = owned_guard_.get();
-  }
-}
-
-ProgressReporter::~ProgressReporter() = default;
-
-void ProgressReporter::update(std::size_t done, std::size_t total) {
-  const auto now = std::chrono::steady_clock::now();
-  std::scoped_lock lock(mutex_);
-  const bool final = total != 0 && done >= total;
-  if (final && printed_final_) return;
-  if (!final) printed_final_ = false;  // a new run started; allow its final
-  if (!final && last_.has_value() &&
-      std::chrono::duration<double>(now - *last_).count() < min_interval_) {
-    return;
-  }
-  last_ = now;
-  if (final) printed_final_ = true;
-
-  const double elapsed =
-      std::chrono::duration<double>(now - start_).count();
-  const double rate = elapsed > 0.0 ? static_cast<double>(done) / elapsed : 0.0;
-  const double pct =
-      total != 0 ? 100.0 * static_cast<double>(done) / static_cast<double>(total)
-                 : 0.0;
-  char eta[32];
-  if (final) {
-    std::snprintf(eta, sizeof eta, "done in %.1fs", elapsed);
-  } else if (rate > 0.0) {
-    std::snprintf(eta, sizeof eta, "ETA %.1fs",
-                  static_cast<double>(total - done) / rate);
-  } else {
-    std::snprintf(eta, sizeof eta, "ETA ?");
-  }
-  char hijacked[48] = "";
-  if (recorder_ != nullptr) {
-    const std::uint64_t verdicts = recorder_->verdicts();
-    if (verdicts != 0) {
-      std::snprintf(hijacked, sizeof hijacked, "  hijacked %.1f%%",
-                    100.0 *
-                        static_cast<double>(recorder_->adversary_verdicts()) /
-                        static_cast<double>(verdicts));
-    }
-  }
-  // Live updates overwrite one stderr line (leading \r, no newline); the
-  // final 100% summary is newline-terminated so a completed campaign
-  // never leaves a stale partial line behind. The LineGuard pads shorter
-  // lines to blank out the previous one and interleaves Logger writes.
-  char line[224];
-  int len = std::snprintf(line, sizeof line,
-                          "[campaign] %zu/%zu tasks (%.1f%%)  %.1f tasks/s"
-                          "  %s%s",
-                          done, total, pct, rate, eta, hijacked);
-  if (len < 0) len = 0;
-  guard_->live_line(std::string_view(line, static_cast<std::size_t>(len)),
-                    final);
 }
 
 }  // namespace marcopolo::obs

@@ -149,8 +149,14 @@ class Parser {
   Value parse_value() {
     skip_ws();
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      // The parser recurses once per level, so hostile nesting would
+      // overflow the stack; the writers here nest at most 6 deep.
+      if (++depth_ > kMaxDepth) fail("nesting too deep");
+      Value nested = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return nested;
+    }
     if (c == '"') return Value{parse_string()};
     if (consume_literal("true")) return Value{true};
     if (consume_literal("false")) return Value{false};
@@ -308,8 +314,11 @@ class Parser {
     return Value{parsed};
   }
 
+  static constexpr int kMaxDepth = 64;
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< Open arrays and objects around pos_.
 };
 
 }  // namespace

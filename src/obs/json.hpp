@@ -117,7 +117,8 @@ struct Value {
 };
 
 /// Parse one complete JSON document (throws ParseError). Input must be
-/// exactly one value plus optional surrounding whitespace.
+/// exactly one value plus optional surrounding whitespace, nested at most
+/// 64 arrays/objects deep ("nesting too deep" past that).
 [[nodiscard]] Value parse(std::string_view text);
 
 }  // namespace json

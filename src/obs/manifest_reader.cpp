@@ -124,11 +124,9 @@ ReadManifest ManifestReader::read_string(const std::string& text) {
         symbols != nullptr && symbols->is_array()) {
       for (const json::Value& symbol : symbols->array()) {
         if (!symbol.is_object()) continue;
-        ReadHotSymbol row;
-        row.name = symbol.string_or("name", "?");
-        row.self = symbol.u64_or("self", 0);
-        row.total = symbol.u64_or("total", 0);
-        out.profile.symbols.push_back(std::move(row));
+        out.profile.symbols.push_back({symbol.string_or("name", "?"),
+                                       symbol.u64_or("self", 0),
+                                       symbol.u64_or("total", 0)});
       }
     }
   }

@@ -19,15 +19,9 @@
 
 #include "obs/manifest.hpp"  // PhaseRow
 #include "obs/metrics.hpp"
+#include "obs/symbolize.hpp"  // HotSymbol
 
 namespace marcopolo::obs {
-
-/// One row of a manifest's hot-symbol table ("profile"."symbols").
-struct ReadHotSymbol {
-  std::string name;
-  std::uint64_t self = 0;   ///< Samples with this symbol as leaf.
-  std::uint64_t total = 0;  ///< Samples with this symbol anywhere.
-};
 
 /// A manifest's "profile" section.
 struct ReadProfile {
@@ -35,8 +29,9 @@ struct ReadProfile {
   std::uint64_t samples = 0;
   std::uint64_t dropped = 0;
   std::uint64_t truncated = 0;
-  /// Top-N by self samples, in document (descending-self) order.
-  std::vector<ReadHotSymbol> symbols;
+  /// The hot-symbol table ("profile"."symbols"): top-N by self samples,
+  /// in document (descending-self) order.
+  std::vector<HotSymbol> symbols;
 
   /// Self share of the run, in [0,1]; 0 when the sample total is 0.
   [[nodiscard]] double self_share(std::uint64_t self) const {

@@ -95,11 +95,6 @@ MetricsRegistry::MetricsRegistry() : uid_(next_registry_uid()) {}
 
 MetricsRegistry::~MetricsRegistry() = default;
 
-MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry instance;
-  return instance;
-}
-
 Counter MetricsRegistry::counter(std::string_view name) {
   {
     std::shared_lock lock(names_mutex_);

@@ -143,9 +143,6 @@ class MetricsRegistry {
   /// writers have quiesced.
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
-  /// Process-wide default registry.
-  [[nodiscard]] static MetricsRegistry& global();
-
  private:
   friend class Counter;
   friend class Histogram;

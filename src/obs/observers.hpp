@@ -8,13 +8,10 @@
 // unchanged (campaign_*_test).
 // Nothing observed feeds back into a simulation decision.
 //
-// The campaign reads all five members; the Orchestrator metrics, recorder
+// The campaign reads all four members; the Orchestrator metrics, recorder
 // and telemetry; the DeploymentOptimizer metrics and profiler. One value
 // can serve every pipeline of a run.
 #pragma once
-
-#include <cstddef>
-#include <functional>
 
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
@@ -29,12 +26,10 @@ struct Observers {
   /// Task spans, propagation records and verdicts, one lane per worker.
   /// Null means no clock reads at all.
   FlightRecorder* recorder = nullptr;
-  /// (tasks_completed, tasks_total) as campaign tasks retire. Called from
-  /// worker threads: it must be thread-safe and not touch the store.
-  std::function<void(std::size_t, std::size_t)> progress{};
   /// Sampling CPU profiler; workers attach for their task loop.
   SamplingProfiler* profiler = nullptr;
   /// Live telemetry: planned tasks plus a per-worker completion slot.
+  /// It also draws the --progress status line.
   TelemetryHub* telemetry = nullptr;
 };
 

@@ -1,6 +1,7 @@
 #include "obs/run_compare.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -172,14 +173,14 @@ RunComparison compare_runs(const ReadManifest& base,
   out.cand_profile_samples = cand.profile.samples;
   if (base.has_profile && cand.has_profile) {
     std::map<std::string, HotSymbolDelta> merged;
-    for (const ReadHotSymbol& s : base.profile.symbols) {
+    for (const HotSymbol& s : base.profile.symbols) {
       HotSymbolDelta& d = merged[s.name];
       d.name = s.name;
       d.in_base = true;
       d.base_self = s.self;
       d.base_share = base.profile.self_share(s.self);
     }
-    for (const ReadHotSymbol& s : cand.profile.symbols) {
+    for (const HotSymbol& s : cand.profile.symbols) {
       HotSymbolDelta& d = merged[s.name];
       d.name = s.name;
       d.in_cand = true;
@@ -259,7 +260,7 @@ DiffGateResult evaluate_gate(const RunComparison& comparison,
 
 FoldedProfile read_folded_profile(std::istream& in) {
   FoldedProfile out;
-  std::map<std::string, ReadHotSymbol> symbols;
+  std::map<std::string, HotSymbol> symbols;
   std::string line;
   std::size_t lineno = 0;
   while (std::getline(in, line)) {
@@ -276,18 +277,16 @@ FoldedProfile read_folded_profile(std::istream& in) {
       continue;
     }
     const std::string stack = line.substr(0, space);
+    // One whole decimal token; a count or total past 2^64 would wrap.
     std::uint64_t count = 0;
-    bool numeric = true;
-    for (std::size_t i = space + 1; i < line.size(); ++i) {
-      if (line[i] < '0' || line[i] > '9') {
-        numeric = false;
-        break;
-      }
-      count = count * 10 + static_cast<std::uint64_t>(line[i] - '0');
-    }
-    if (!numeric || count == 0) {
+    const char* line_end = line.data() + line.size();
+    const auto [stop, ec] =
+        std::from_chars(line.data() + space + 1, line_end, count);
+    if (ec != std::errc() || stop != line_end || count == 0 ||
+        out.total + count < out.total) {
       out.problems.push_back("line " + std::to_string(lineno) +
-                             ": count must be a positive integer");
+                             ": count must be a positive integer (total "
+                             "below 2^64)");
       continue;
     }
 
@@ -329,7 +328,7 @@ FoldedProfile read_folded_profile(std::istream& in) {
   out.symbols.reserve(symbols.size());
   for (auto& [name, sym] : symbols) out.symbols.push_back(std::move(sym));
   std::sort(out.symbols.begin(), out.symbols.end(),
-            [](const ReadHotSymbol& a, const ReadHotSymbol& b) {
+            [](const HotSymbol& a, const HotSymbol& b) {
               if (a.self != b.self) return a.self > b.self;
               if (a.total != b.total) return a.total > b.total;
               return a.name < b.name;

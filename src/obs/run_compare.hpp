@@ -218,7 +218,7 @@ struct FoldedProfile {
   /// table (self = leaf occurrences, total = once per stack weighted by
   /// count), sorted by self descending — lets `mpinspect hotspots` rank
   /// symbols from the folded file alone.
-  std::vector<ReadHotSymbol> symbols;
+  std::vector<HotSymbol> symbols;
   std::vector<std::string> problems;
   [[nodiscard]] bool ok() const { return problems.empty(); }
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <climits>
 #include <cstdio>
 #include <string_view>
 #include <utility>
@@ -31,20 +32,21 @@ constexpr Flag kFlags[] = {
     {kTickMsFlag, "--tick-ms", " <n>"},
 };
 
-/// `text` as one whole positive decimal int token; else sets `error`.
-int positive_number(std::string_view name, std::string_view text,
-                    std::string& error) {
-  int n = 0;
+}  // namespace
+
+int parse_count(std::string_view name, std::string_view text,
+                std::string& error, int min) {
+  unsigned n = 0;  // unsigned: from_chars then refuses any sign
   const char* end = text.data() + text.size();
   const auto [stop, ec] = std::from_chars(text.data(), end, n);
-  if (ec != std::errc() || stop != end || n < 1) {
+  if (ec != std::errc() || stop != end || n < static_cast<unsigned>(min) ||
+      n > INT_MAX) {
     error = "bad " + std::string(name) + " '" + std::string(text) +
-            "' (want a positive integer)";
+            "' (want a whole number >= " + std::to_string(min) + ")";
+    return min;
   }
-  return n;
+  return static_cast<int>(n);
 }
-
-}  // namespace
 
 SessionArgs parse_session_args(int argc, const char* const* argv,
                                unsigned accepted) {
@@ -83,12 +85,12 @@ SessionArgs parse_session_args(int argc, const char* const* argv,
       case kVerboseFlag: o.verbose = true; break;
       case kProfileFlag:
         o.profile_hz = rate ? static_cast<std::uint32_t>(
-                                  positive_number(name, value, out.error))
+                                  parse_count(name, value, out.error))
                             : kDefaultProfileHz;
         break;
       case kTelemetryOutFlag: o.telemetry_out = value; break;
       case kTickMsFlag:
-        o.tick_ms = positive_number(name, value, out.error);
+        o.tick_ms = parse_count(name, value, out.error);
         break;
       default: break;
     }
@@ -121,17 +123,19 @@ std::unique_ptr<SamplingProfiler> make_profiler(
   return profiler;
 }
 
-/// The started hub --telemetry-out asks for, or null, scraping `metrics`
-/// and `recorder` (either may be null).
+/// The started hub --telemetry-out or --progress asks for, or null,
+/// scraping `metrics` and `recorder` (either may be null). --progress
+/// draws its ticks on stderr; only --telemetry-out writes a file.
 std::unique_ptr<TelemetryHub> start_telemetry(const SessionOptions& options,
                                               MetricsRegistry* metrics,
                                               const FlightRecorder* recorder) {
-  if (options.telemetry_out.empty()) return nullptr;
-  auto hub = std::make_unique<TelemetryHub>(
-      TelemetryConfig{.tick_ms = options.tick_ms,
-                      .timeseries_path = options.telemetry_out,
-                      .metrics = metrics,
-                      .recorder = recorder});
+  if (options.telemetry_out.empty() && !options.progress) return nullptr;
+  auto hub = std::make_unique<TelemetryHub>(TelemetryConfig{
+      .tick_ms = options.tick_ms,
+      .timeseries_path = options.telemetry_out,
+      .metrics = metrics,
+      .recorder = recorder,
+      .status = options.progress ? &LineGuard::stderr_guard() : nullptr});
   hub->start();
   return hub;
 }
@@ -140,7 +144,6 @@ std::unique_ptr<TelemetryHub> start_telemetry(const SessionOptions& options,
 
 Session::Session(std::string tool, SessionOptions options)
     : options_(std::move(options)),
-      reporter_(options_.trace_out.empty() ? nullptr : &recorder_),
       profiler_(make_profiler(options_)),
       manifest_(std::move(tool)) {
   if (options_.verbose) {
@@ -151,11 +154,6 @@ Session::Session(std::string tool, SessionOptions options)
     observers_.metrics = &registry_;
   }
   if (!options_.trace_out.empty()) observers_.recorder = &recorder_;
-  if (options_.progress) {
-    observers_.progress = [this](std::size_t done, std::size_t total) {
-      reporter_.update(done, total);
-    };
-  }
   observers_.profiler = profiler_.get();
   hub_ = start_telemetry(options_, observers_.metrics, observers_.recorder);
   observers_.telemetry = hub_.get();

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/manifest.hpp"
@@ -22,7 +23,8 @@ enum SessionFlag : unsigned {
   /// --trace-out <dir>: a flight recorder; finish() writes the trace
   /// bundle and self-checks it. Implies metrics (it embeds metrics.prom).
   kTraceOutFlag = 1u << 1,
-  kProgressFlag = 1u << 2,  ///< --progress: live stderr task line.
+  /// --progress: a telemetry hub drawing each tick on stderr.
+  kProgressFlag = 1u << 2,
   kVerboseFlag = 1u << 3,   ///< --verbose: timestamped log on stderr.
   kProfileFlag = 1u << 4,   ///< --profile[=hz]: sampling CPU profiler.
   /// --telemetry-out <dir|file>: a telemetry hub appending
@@ -47,14 +49,20 @@ struct SessionArgs {
   SessionOptions options;
   std::vector<std::string> rest;  ///< The other arguments, in order.
   /// Set for a flag outside `accepted`, a missing value, or a rate or
-  /// tick that is not one whole positive decimal token. The caller
-  /// prints it with its usage and exits 2.
+  /// tick that parse_count rejects. The caller prints it with its usage
+  /// and exits 2.
   std::string error;
 };
 
 [[nodiscard]] SessionArgs parse_session_args(int argc,
                                              const char* const* argv,
                                              unsigned accepted);
+
+/// A numeric CLI value: `text` as one whole decimal token in [min,
+/// INT_MAX], with no sign, space or suffix ("2x", "-1" and "" fail).
+/// Otherwise sets `error`, naming `name`, and returns `min`.
+[[nodiscard]] int parse_count(std::string_view name, std::string_view text,
+                              std::string& error, int min = 1);
 
 /// Usage text for `accepted`, e.g. "[--trace-out <dir>] [--profile[=hz]]".
 [[nodiscard]] std::string session_usage(unsigned accepted);
@@ -82,7 +90,6 @@ class Session {
   SessionOptions options_;
   MetricsRegistry registry_;
   FlightRecorder recorder_;
-  ProgressReporter reporter_;
   std::unique_ptr<SamplingProfiler> profiler_;
   std::unique_ptr<TelemetryHub> hub_;
   Observers observers_;

@@ -82,6 +82,8 @@ void TelemetryHub::start() {
     prev_tasks_done_ = 0;
     prev_phase_ns_.fill(0);
     zero_progress_ticks_ = 0;
+    drawn_done_ = drawn_total_ = 0;
+    line_open_ = false;
 
     if (!config_.timeseries_path.empty()) {
       const std::string path =
@@ -170,7 +172,7 @@ void TelemetryHub::tick_now() {
   tick_locked(/*final_tick=*/false);
 }
 
-TelemetrySnapshot TelemetryHub::latest() const {
+TimeseriesTick TelemetryHub::latest() const {
   std::scoped_lock lock(latest_mutex_);
   return latest_;
 }
@@ -178,12 +180,12 @@ TelemetrySnapshot TelemetryHub::latest() const {
 void TelemetryHub::tick_locked(bool final_tick) {
   const auto now = std::chrono::steady_clock::now();
 
-  TelemetrySnapshot snap;
-  snap.tick = next_tick_++;
-  snap.t_ns = static_cast<std::uint64_t>(
+  TimeseriesTick tick;
+  tick.tick = next_tick_++;
+  tick.t_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(now - start_time_)
           .count());
-  snap.final_tick = final_tick;
+  tick.final_tick = final_tick;
 
   // Worker progress. Completed counts are monotone, so summing relaxed
   // loads mid-churn only shifts a task between adjacent ticks.
@@ -199,71 +201,69 @@ void TelemetryHub::tick_locked(bool final_tick) {
       const TelemetryWorkerSlot& slot = *slots_[i];
       const std::uint64_t completed =
           slot.completed.load(std::memory_order_relaxed);
-      snap.tasks_done += completed;
+      tick.tasks_done += completed;
       if (slot.live.load(std::memory_order_relaxed)) {
-        ++snap.workers_live;
+        ++tick.workers_live;
         live_workers.push_back(
             {i, completed,
              slot.last_complete_ns.load(std::memory_order_relaxed)});
       }
     }
   }
-  snap.tasks_total = planned_tasks_.load(std::memory_order_relaxed);
+  tick.tasks_total = planned_tasks_.load(std::memory_order_relaxed);
 
   const std::uint64_t dt_ns =
-      snap.t_ns > prev_t_ns_ ? snap.t_ns - prev_t_ns_ : 0;
+      tick.t_ns > prev_t_ns_ ? tick.t_ns - prev_t_ns_ : 0;
   const double dt_s = static_cast<double>(dt_ns) / 1e9;
   const std::uint64_t done_delta =
-      snap.tasks_done > prev_tasks_done_
-          ? snap.tasks_done - prev_tasks_done_
+      tick.tasks_done > prev_tasks_done_
+          ? tick.tasks_done - prev_tasks_done_
           : 0;
   if (dt_s > 0.0) {
-    snap.tasks_per_s = static_cast<double>(done_delta) / dt_s;
+    tick.tasks_per_s = static_cast<double>(done_delta) / dt_s;
   }
 
   if (config_.recorder != nullptr) {
-    snap.verdicts = config_.recorder->verdicts();
-    snap.adversary_verdicts = config_.recorder->adversary_verdicts();
+    tick.verdicts = config_.recorder->verdicts();
+    tick.adversary_verdicts = config_.recorder->adversary_verdicts();
   }
 
   const MemorySample mem = read_memory_sample();
-  snap.mem_valid = mem.valid;
-  snap.rss_kb = mem.rss_kb;
-  snap.peak_rss_kb = mem.peak_rss_kb;
+  tick.has_mem = mem.valid;
+  tick.rss_kb = mem.rss_kb;
+  tick.peak_rss_kb = mem.peak_rss_kb;
 
   // Full registry scrape: hot phase from ns-histogram deltas, counters
   // embedded in the tick line.
-  MetricsSnapshot counters;
-  bool have_counters = false;
   if (config_.metrics != nullptr) {
-    counters = config_.metrics->snapshot();
-    have_counters = true;
+    MetricsSnapshot scrape = config_.metrics->snapshot();
     std::uint64_t best_delta = 0;
     static_assert(std::size(kPhaseHistograms) == std::size(kPhaseNames) &&
                   std::tuple_size_v<decltype(prev_phase_ns_)> ==
                       std::size(kPhaseNames));
     for (std::size_t p = 0; p < std::size(kPhaseNames); ++p) {
-      const HistogramSnapshot* hist =
-          counters.histogram(kPhaseHistograms[p]);
+      const HistogramSnapshot* hist = scrape.histogram(kPhaseHistograms[p]);
       const std::uint64_t sum = hist != nullptr ? hist->sum : 0;
       const std::uint64_t delta =
           sum > prev_phase_ns_[p] ? sum - prev_phase_ns_[p] : 0;
       prev_phase_ns_[p] = sum;
       if (delta > best_delta) {
         best_delta = delta;
-        snap.hot_phase = kPhaseNames[p];
+        tick.hot_phase = kPhaseNames[p];
       }
     }
+    tick.counters = std::move(scrape.counters);
   }
 
-  if (snap.tasks_total > snap.tasks_done && snap.tasks_per_s > 0.0) {
-    snap.eta_s = static_cast<double>(snap.tasks_total - snap.tasks_done) /
-                 snap.tasks_per_s;
+  if (tick.tasks_total > tick.tasks_done && tick.tasks_per_s > 0.0) {
+    tick.has_eta = true;
+    tick.eta_s = static_cast<double>(tick.tasks_total - tick.tasks_done) /
+                 tick.tasks_per_s;
   }
 
   // Stall watchdog: fires once per zero-progress episode, at exactly
   // stall_ticks consecutive no-progress ticks with live workers.
-  if (!final_tick && snap.workers_live > 0 && done_delta == 0) {
+  if (!final_tick && tick.workers_live > 0 && done_delta == 0) {
     ++zero_progress_ticks_;
     if (zero_progress_ticks_ == config_.stall_ticks) {
       stalls_.fetch_add(1, std::memory_order_relaxed);
@@ -282,8 +282,8 @@ void TelemetryHub::tick_locked(bool final_tick) {
           << "campaign stalled: no task completed"
           << field("zero_ticks", zero_progress_ticks_)
           << field("tick_ms", config_.tick_ms)
-          << field("workers_live", snap.workers_live)
-          << field("tasks_done", snap.tasks_done)
+          << field("workers_live", tick.workers_live)
+          << field("tasks_done", tick.tasks_done)
           << field("last_completed_ages", ages.str());
       // Interned lazily so never-stalled runs leave the registry — and
       // therefore the manifest — untouched (pure-observer proof).
@@ -295,52 +295,49 @@ void TelemetryHub::tick_locked(bool final_tick) {
   } else if (done_delta != 0) {
     zero_progress_ticks_ = 0;
   }
-  snap.stalls = stalls_.load(std::memory_order_relaxed);
+  tick.stalls = stalls_.load(std::memory_order_relaxed);
 
-  write_tick_line(snap, have_counters ? &counters : nullptr);
+  write_tick_line(tick);
+  draw_status(tick);
 
-  {
-    std::scoped_lock latest(latest_mutex_);
-    latest_ = snap;
-  }
-
-  prev_t_ns_ = snap.t_ns;
-  prev_tasks_done_ = snap.tasks_done;
+  prev_t_ns_ = tick.t_ns;
+  prev_tasks_done_ = tick.tasks_done;
+  std::scoped_lock latest(latest_mutex_);
+  latest_ = std::move(tick);
 }
 
-void TelemetryHub::write_tick_line(const TelemetrySnapshot& snap,
-                                   const MetricsSnapshot* counters) {
+void TelemetryHub::write_tick_line(const TimeseriesTick& tick) {
   if (timeseries_ == nullptr) return;
   char head[160];
   std::snprintf(head, sizeof head,
                 "{\"type\":\"tick\",\"tick\":%" PRIu64 ",\"t_ns\":%" PRIu64,
-                snap.tick, snap.t_ns);
+                tick.tick, tick.t_ns);
   std::string line = head;
-  append_u64_field(&line, "tasks_done", snap.tasks_done);
-  append_u64_field(&line, "tasks_total", snap.tasks_total);
+  append_u64_field(&line, "tasks_done", tick.tasks_done);
+  append_u64_field(&line, "tasks_total", tick.tasks_total);
   line += ",\"tasks_per_s\":";
-  append_double(&line, snap.tasks_per_s);
-  append_u64_field(&line, "workers_live",
-                   static_cast<std::uint64_t>(snap.workers_live));
-  append_u64_field(&line, "stalls", snap.stalls);
-  append_u64_field(&line, "verdicts", snap.verdicts);
-  append_u64_field(&line, "adversary_verdicts", snap.adversary_verdicts);
-  if (snap.mem_valid) {
-    append_u64_field(&line, "rss_kb", snap.rss_kb);
-    append_u64_field(&line, "peak_rss_kb", snap.peak_rss_kb);
+  append_double(&line, tick.tasks_per_s);
+  append_u64_field(&line, "workers_live", tick.workers_live);
+  append_u64_field(&line, "stalls", tick.stalls);
+  append_u64_field(&line, "verdicts", tick.verdicts);
+  append_u64_field(&line, "adversary_verdicts", tick.adversary_verdicts);
+  if (tick.has_mem) {
+    append_u64_field(&line, "rss_kb", tick.rss_kb);
+    append_u64_field(&line, "peak_rss_kb", tick.peak_rss_kb);
   }
-  if (!snap.hot_phase.empty()) {
-    line += ",\"hot_phase\":\"" + json_escape(snap.hot_phase) + "\"";
+  if (!tick.hot_phase.empty()) {
+    line += ",\"hot_phase\":\"" + json_escape(tick.hot_phase) + "\"";
   }
-  if (snap.eta_s >= 0.0) {
+  if (tick.has_eta) {
     line += ",\"eta_s\":";
-    append_double(&line, snap.eta_s);
+    append_double(&line, tick.eta_s);
   }
-  if (snap.final_tick) line += ",\"final\":true";
-  if (counters != nullptr) {
+  if (tick.final_tick) line += ",\"final\":true";
+  // Present whenever a registry is attached, even with no counter yet.
+  if (config_.metrics != nullptr) {
     line += ",\"counters\":{";
     bool first = true;
-    for (const auto& [name, value] : counters->counters) {
+    for (const auto& [name, value] : tick.counters) {
       if (!first) line += ",";
       first = false;
       line += "\"" + json_escape(name) + "\":" + std::to_string(value);
@@ -353,6 +350,21 @@ void TelemetryHub::write_tick_line(const TelemetrySnapshot& snap,
   // crash-safe-append half of the contract; atomic rename is wrong here
   // because the file grows for the whole run).
   std::fflush(timeseries_);
+}
+
+void TelemetryHub::draw_status(const TimeseriesTick& tick) {
+  if (config_.status == nullptr) return;
+  const bool moved =
+      tick.tasks_done != drawn_done_ || tick.tasks_total != drawn_total_;
+  if (!moved && !(tick.final_tick && line_open_)) return;
+  // A retired plan ends the line, so stdout text printed between
+  // pipelines starts on a clean row.
+  const bool ends = tick.final_tick || (tick.tasks_total != 0 &&
+                                        tick.tasks_done >= tick.tasks_total);
+  config_.status->live_line(format_tick_line(tick), ends);
+  drawn_done_ = tick.tasks_done;
+  drawn_total_ = tick.tasks_total;
+  line_open_ = !ends;
 }
 
 }  // namespace marcopolo::obs

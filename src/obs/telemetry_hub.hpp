@@ -19,6 +19,9 @@
 //     Warn line with per-worker last-completed-task ages and raises a
 //     `campaign.stalls` counter (interned lazily, so runs that never
 //     stall keep byte-identical manifests).
+//   - With a status stream (--progress) each tick is also drawn as the
+//     live stderr status line, by the format_tick_line that `mpinspect
+//     watch` uses.
 //
 // Contract, same as the recorder/profiler layers: the hub is a pure
 // observer and null by default. Pipelines carry a `TelemetryHub*`
@@ -52,10 +55,12 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/timeseries_reader.hpp"
 
 namespace marcopolo::obs {
 
 class FlightRecorder;
+class LineGuard;  // obs/log.hpp
 
 /// Per-worker completion slot. Workers stamp it through
 /// TelemetryHub::note_task_done(); the sampler thread reads it each tick
@@ -76,25 +81,11 @@ struct TelemetryConfig {
   int stall_ticks = 5;         ///< Zero-progress ticks before a warning.
   MetricsRegistry* metrics = nullptr;     ///< Scraped per tick (optional).
   const FlightRecorder* recorder = nullptr;  ///< Live tallies (optional).
-};
-
-/// One tick's derived state; latest() returns a copy for tests.
-struct TelemetrySnapshot {
-  std::uint64_t tick = 0;
-  std::uint64_t t_ns = 0;        ///< Nanoseconds since hub start.
-  std::uint64_t tasks_done = 0;
-  std::uint64_t tasks_total = 0;
-  double tasks_per_s = 0.0;
-  int workers_live = 0;
-  std::uint64_t stalls = 0;
-  std::uint64_t verdicts = 0;
-  std::uint64_t adversary_verdicts = 0;
-  std::uint64_t rss_kb = 0;
-  std::uint64_t peak_rss_kb = 0;
-  bool mem_valid = false;
-  std::string hot_phase;         ///< Phase with the largest ns delta.
-  double eta_s = -1.0;           ///< < 0 = unknown.
-  bool final_tick = false;
+  /// Where each tick is drawn as the live status line; null = no line.
+  /// A tick redraws it only when the done or total count moved, and
+  /// ends it with a newline once every planned task has retired and on
+  /// the final tick.
+  LineGuard* status = nullptr;
 };
 
 class TelemetryHub {
@@ -132,7 +123,8 @@ class TelemetryHub {
   /// start(); tests use this for deterministic watchdog timing).
   void tick_now();
 
-  [[nodiscard]] TelemetrySnapshot latest() const;
+  /// The last tick, as written; t_ns counts from hub start.
+  [[nodiscard]] TimeseriesTick latest() const;
   [[nodiscard]] std::uint64_t stalls() const {
     return stalls_.load(std::memory_order_relaxed);
   }
@@ -146,8 +138,8 @@ class TelemetryHub {
  private:
   void sampler_loop();
   void tick_locked(bool final_tick);
-  void write_tick_line(const TelemetrySnapshot& snap,
-                       const MetricsSnapshot* counters);
+  void write_tick_line(const TimeseriesTick& tick);
+  void draw_status(const TimeseriesTick& tick);
 
   TelemetryConfig config_;
 
@@ -174,9 +166,13 @@ class TelemetryHub {
   std::array<std::uint64_t, 4> prev_phase_ns_{};
   int zero_progress_ticks_ = 0;
   Counter stall_counter_;  ///< Interned lazily on first stall.
+  // The last status line drawn (sampler only).
+  std::uint64_t drawn_done_ = 0;
+  std::uint64_t drawn_total_ = 0;
+  bool line_open_ = false;  ///< Drawn without its newline.
 
   mutable std::mutex latest_mutex_;
-  TelemetrySnapshot latest_;
+  TimeseriesTick latest_;
 };
 
 }  // namespace marcopolo::obs

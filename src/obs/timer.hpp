@@ -1,90 +1,24 @@
-// RAII phase timing and an optional structured trace ring.
+// RAII phase timing.
 //
 // ScopedTimer measures one span with the steady clock and feeds the
 // elapsed nanoseconds into a Histogram on destruction; with a null
-// histogram handle it never reads the clock at all. Spans can also be
-// mirrored into a TraceRing — a fixed-capacity in-memory ring of recent
-// spans for post-mortem inspection. The ring is mutex-guarded and OFF by
-// default (capacity 0): unlike the sharded counters it is not
-// zero-overhead, so hot loops should only attach one when debugging.
+// histogram handle it never reads the clock at all. The flight recorder
+// (flight_recorder.hpp) is the span recorder.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <mutex>
-#include <string>
-#include <vector>
 
 #include "obs/metrics.hpp"
 
 namespace marcopolo::obs {
 
-/// Fixed-capacity ring of completed spans (newest overwrite oldest).
-class TraceRing {
- public:
-  struct Span {
-    std::string name;
-    std::uint64_t start_ns = 0;  ///< Steady-clock epoch, comparable in-run.
-    std::uint64_t duration_ns = 0;
-  };
-
-  TraceRing() = default;
-  explicit TraceRing(std::size_t capacity) : capacity_(capacity) {}
-
-  void set_capacity(std::size_t capacity) {
-    std::scoped_lock lock(mutex_);
-    capacity_ = capacity;
-    spans_.clear();
-    next_ = 0;
-  }
-
-  [[nodiscard]] bool enabled() const { return capacity_ > 0; }
-
-  void record(std::string name, std::uint64_t start_ns,
-              std::uint64_t duration_ns) {
-    if (capacity_ == 0) return;
-    std::scoped_lock lock(mutex_);
-    if (spans_.size() < capacity_) {
-      spans_.push_back(Span{std::move(name), start_ns, duration_ns});
-    } else {
-      spans_[next_ % capacity_] = Span{std::move(name), start_ns, duration_ns};
-    }
-    ++next_;
-  }
-
-  /// Spans oldest-first (copy; the ring keeps running).
-  [[nodiscard]] std::vector<Span> drain() {
-    std::scoped_lock lock(mutex_);
-    std::vector<Span> out;
-    out.reserve(spans_.size());
-    const std::size_t start = spans_.size() < capacity_ ? 0 : next_;
-    for (std::size_t i = 0; i < spans_.size(); ++i) {
-      out.push_back(spans_[(start + i) % spans_.size()]);
-    }
-    spans_.clear();
-    next_ = 0;
-    return out;
-  }
-
- private:
-  mutable std::mutex mutex_;
-  std::size_t capacity_ = 0;
-  std::size_t next_ = 0;
-  std::vector<Span> spans_;
-};
-
-/// Times its own lifetime into `histogram` (nanoseconds) and, optionally,
-/// a trace ring. Null histogram + null ring = no clock reads.
+/// Times its own lifetime into `histogram` (nanoseconds). A null
+/// histogram reads no clock.
 class ScopedTimer {
  public:
-  explicit ScopedTimer(Histogram histogram, TraceRing* ring = nullptr,
-                       std::string_view span_name = {})
-      : histogram_(histogram),
-        ring_(ring != nullptr && ring->enabled() ? ring : nullptr),
-        span_name_(span_name) {
-    if (histogram_ || ring_ != nullptr) {
-      start_ = std::chrono::steady_clock::now();
-    }
+  explicit ScopedTimer(Histogram histogram) : histogram_(histogram) {
+    if (histogram_) start_ = std::chrono::steady_clock::now();
   }
 
   ScopedTimer(const ScopedTimer&) = delete;
@@ -96,26 +30,15 @@ class ScopedTimer {
   void stop() {
     if (stopped_) return;
     stopped_ = true;
-    if (!histogram_ && ring_ == nullptr) return;
-    const auto end = std::chrono::steady_clock::now();
-    const auto ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(end - start_)
-            .count());
-    if (histogram_) histogram_.observe(ns);
-    if (ring_ != nullptr) {
-      ring_->record(std::string(span_name_),
-                    static_cast<std::uint64_t>(
-                        std::chrono::duration_cast<std::chrono::nanoseconds>(
-                            start_.time_since_epoch())
-                            .count()),
-                    ns);
-    }
+    if (!histogram_) return;
+    histogram_.observe(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start_)
+            .count()));
   }
 
  private:
   Histogram histogram_;
-  TraceRing* ring_ = nullptr;
-  std::string_view span_name_;
   std::chrono::steady_clock::time_point start_{};
   bool stopped_ = false;
 };

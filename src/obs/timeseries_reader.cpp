@@ -1,5 +1,8 @@
 #include "obs/timeseries_reader.hpp"
 
+#include <cinttypes>
+#include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <istream>
 
@@ -73,7 +76,66 @@ void decode_tick(const json::Value& value, std::size_t line,
   out->ticks.push_back(std::move(tick));
 }
 
+std::string format_mib(std::uint64_t kb) {
+  char buf[48];
+  std::snprintf(buf, sizeof buf, "%.1f MiB",
+                static_cast<double>(kb) / 1024.0);
+  return buf;
+}
+
+/// Whole hours and minutes are split in double arithmetic: an ETA read
+/// from a file can be any double, and casting one past INT_MAX to int is
+/// undefined.
+std::string format_eta(double seconds) {
+  char buf[48];
+  if (seconds >= 3600.0) {
+    std::snprintf(buf, sizeof buf, "%.0fh%02.0fm",
+                  std::floor(seconds / 3600.0),
+                  std::floor(std::fmod(seconds, 3600.0) / 60.0));
+  } else if (seconds >= 60.0) {
+    std::snprintf(buf, sizeof buf, "%.0fm%02.0fs",
+                  std::floor(seconds / 60.0),
+                  std::floor(std::fmod(seconds, 60.0)));
+  } else {
+    std::snprintf(buf, sizeof buf, "%.1fs", seconds);
+  }
+  return buf;
+}
+
 }  // namespace
+
+std::string format_tick_line(const TimeseriesTick& tick) {
+  char buf[96];
+  std::string line = "[campaign] tick " + std::to_string(tick.tick) + "  " +
+                     std::to_string(tick.tasks_done);
+  if (tick.tasks_total != 0) {
+    std::snprintf(buf, sizeof buf, "/%" PRIu64 " tasks (%.1f%%)",
+                  tick.tasks_total,
+                  100.0 * static_cast<double>(tick.tasks_done) /
+                      static_cast<double>(tick.tasks_total));
+    line += buf;
+  } else {
+    line += " tasks";
+  }
+  std::snprintf(buf, sizeof buf, "  %.1f tasks/s", tick.tasks_per_s);
+  line += buf;
+  if (tick.has_eta) line += "  ETA " + format_eta(tick.eta_s);
+  if (tick.has_mem) {
+    line += "  RSS " + format_mib(tick.rss_kb) + " (peak " +
+            format_mib(tick.peak_rss_kb) + ")";
+  }
+  line += "  workers " + std::to_string(tick.workers_live);
+  line += "  stalls " + std::to_string(tick.stalls);
+  if (!tick.hot_phase.empty()) line += "  hot " + tick.hot_phase;
+  if (tick.verdicts > 0) {
+    std::snprintf(buf, sizeof buf, "  hijacked %.1f%%",
+                  100.0 * static_cast<double>(tick.adversary_verdicts) /
+                      static_cast<double>(tick.verdicts));
+    line += buf;
+  }
+  if (tick.final_tick) line += "  [final]";
+  return line;
+}
 
 std::uint64_t TimeseriesTick::counter(std::string_view name) const {
   for (const auto& [n, v] : counters) {

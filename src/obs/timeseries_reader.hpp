@@ -1,5 +1,6 @@
 // TimeseriesReader: parse a timeseries.ndjson written by TelemetryHub
-// back into tick records.
+// back into tick records. TimeseriesTick is also the record the hub
+// fills and writes, and format_tick_line the one status-line view of it.
 //
 // Same schema policy as the journal reader (timeseries_schema 1,
 // forward-compatible reads): unknown "type" records are counted and
@@ -11,6 +12,8 @@
 //
 // Consumers: `mpinspect tail` / `mpinspect watch` (render ticks),
 // `check_trace_bundle` (monotonicity + final-tick counter agreement).
+// The hub's --progress line and `watch` draw a tick with the same
+// format_tick_line.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +31,8 @@ struct TimeseriesIssue {
   std::string message;
 };
 
-/// One decoded tick record.
+/// One tick record: what the hub fills and writes, and what the reader
+/// decodes.
 struct TimeseriesTick {
   std::uint64_t tick = 0;
   std::uint64_t t_ns = 0;
@@ -53,6 +57,16 @@ struct TimeseriesTick {
   /// Counter value by name; 0 if absent.
   [[nodiscard]] std::uint64_t counter(std::string_view name) const;
 };
+
+/// The one-line status view of a tick:
+///
+///   [campaign] tick 41  812/2052 tasks (39.6%)  131.0 tasks/s  ETA 9.5s
+///   RSS 80.1 MiB (peak 95.0 MiB)  workers 4  stalls 0  hot classify
+///   hijacked 34.2%  [final]
+///
+/// (one line). A field the writer omitted (ETA, RSS, hot phase) is left
+/// out, and so is the hijack rate while no verdict has been tallied.
+[[nodiscard]] std::string format_tick_line(const TimeseriesTick& tick);
 
 /// Everything read back from one timeseries.ndjson.
 struct ReadTimeseries {

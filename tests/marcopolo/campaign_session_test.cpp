@@ -1,8 +1,9 @@
 // obs::Session end to end: one session's observers (metrics, recorder,
-// profiler, telemetry hub) ride a campaign, an orchestrated slice and an
-// optimizer call, as in quickstart. finish() must write a manifest and a
-// trace bundle that pass the bundle self-check, and the campaign's store
-// must equal the same campaign's store with default observers.
+// profiler, telemetry hub with its status line) ride a campaign, an
+// orchestrated slice and an optimizer call, as in quickstart. finish()
+// must write a manifest and a trace bundle that pass the bundle
+// self-check, and the campaign's store must equal the same campaign's
+// store with default observers.
 #include "obs/session.hpp"
 
 #include <gtest/gtest.h>
@@ -35,6 +36,7 @@ TEST(CampaignSession, EveryObserverOnKeepsStoreAndWritesCheckedBundle) {
   options.metrics_out = (dir / "run.json").string();
   options.trace_out = (dir / "bundle").string();
   options.telemetry_out = options.trace_out;  // one self-checking bundle
+  options.progress = true;  // the hub draws on stderr while workers run
   options.profile_hz = obs::kDefaultProfileHz;
   options.tick_ms = 10;
 

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 
+#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry_hub.hpp"
 #include "store_bytes.hpp"
@@ -70,18 +72,39 @@ TEST(CampaignTelemetry, RegistryBytesIdenticalWithHubAttached) {
 }
 
 TEST(CampaignTelemetry, HubTracksPlannedAndCompletedTasks) {
-  obs::TelemetryConfig tcfg;
-  obs::TelemetryHub hub(tcfg);  // not started: tick_now drives it
-  FastCampaignConfig cfg;
-  cfg.threads = 2;
-  cfg.observers.telemetry = &hub;
-  (void)run_fast_campaign(shared_testbed(), cfg);
-  hub.tick_now();
-  const obs::TelemetrySnapshot snap = hub.latest();
-  EXPECT_GT(snap.tasks_total, 0u);
-  EXPECT_EQ(snap.tasks_done, snap.tasks_total)
-      << "a finished campaign must have retired every planned task";
-  EXPECT_EQ(snap.workers_live, 0) << "slots must be closed after the drain";
+  // The hub is the campaign's one completion channel: every planned
+  // attack retires, serially and with racing workers, and the --progress
+  // line it draws ends the row once the plan is done.
+  const auto& tb = shared_testbed();
+  const std::uint64_t attacks = tb.sites().size() * tb.sites().size();
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    std::FILE* status = std::tmpfile();
+    ASSERT_NE(status, nullptr);
+    obs::LineGuard guard(status);
+    obs::TelemetryConfig tcfg;
+    tcfg.status = &guard;
+    obs::TelemetryHub hub(tcfg);  // not started: tick_now drives it
+    FastCampaignConfig cfg;
+    cfg.threads = threads;
+    cfg.observers.telemetry = &hub;
+    (void)run_fast_campaign(tb, cfg);
+    hub.tick_now();
+    const obs::TimeseriesTick tick = hub.latest();
+    EXPECT_EQ(tick.tasks_total, attacks) << "threads=" << threads;
+    EXPECT_EQ(tick.tasks_done, attacks)
+        << "a finished campaign must have retired every planned task";
+    EXPECT_EQ(tick.workers_live, 0u) << "slots must be closed after the drain";
+
+    std::fflush(status);
+    std::rewind(status);
+    std::string line(256, '\0');
+    line.resize(std::fread(line.data(), 1, line.size(), status));
+    std::fclose(status);
+    const std::string done = std::to_string(attacks) + "/" +
+                             std::to_string(attacks) + " tasks (100.0%)";
+    ASSERT_NE(line.find(done), std::string::npos) << line;
+    EXPECT_EQ(line.back(), '\n') << line;
+  }
 }
 
 }  // namespace

@@ -100,6 +100,41 @@ TEST(JsonParse, RejectsMalformedInput) {
   EXPECT_THROW(parse("{1: 2}"), ParseError);        // non-string key
 }
 
+/// `levels` openers of `opener` around a 0, closed again.
+std::string nested(const std::string& opener, std::size_t levels) {
+  std::string text;
+  for (std::size_t i = 0; i < levels; ++i) text += opener;
+  text += '0';
+  for (std::size_t i = 0; i < levels; ++i) {
+    text += opener.front() == '[' ? ']' : '}';
+  }
+  return text;
+}
+
+TEST(JsonParse, DeepNestingThrowsInsteadOfOverflowingTheStack) {
+  // The parser recurses once per level, so 100,000 levels (a 100 KB
+  // document) would overflow the stack. Unclosed or closed, arrays or
+  // objects, the answer must be a ParseError.
+  for (const std::string opener : {"[", "{\"a\":"}) {
+    const std::string closed = nested(opener, 100'000);
+    const std::string unclosed = closed.substr(0, closed.find('0'));
+    for (const std::string& text : {closed, unclosed}) {
+      try {
+        (void)parse(text);
+        FAIL() << "expected ParseError for " << opener;
+      } catch (const ParseError& e) {
+        EXPECT_NE(std::string(e.what()).find("nesting too deep"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  // The bound is 64 levels, far past the writers' 6.
+  EXPECT_NO_THROW((void)parse(nested("[", 64)));
+  EXPECT_NO_THROW((void)parse(nested("{\"a\":", 64)));
+  EXPECT_THROW((void)parse(nested("[", 65)), ParseError);
+}
+
 TEST(JsonParse, ParseErrorCarriesByteOffset) {
   try {
     (void)parse("{\"a\": 1");

@@ -1,4 +1,4 @@
-// Logger level gating / sink capture and ScopedTimer + TraceRing spans.
+// Logger level gating / sink capture and ScopedTimer spans.
 // The global logger is process-wide state, so every test restores the
 // null-sink, level-Off default before returning.
 #include "obs/log.hpp"
@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace marcopolo::obs {
@@ -87,74 +86,6 @@ TEST(ScopedTimer, NullHandleObservesNothing) {
   // Must be a no-op (and, per the header contract, read no clock).
   ScopedTimer timer(Histogram{});
   timer.stop();
-}
-
-TEST(TraceRing, DisabledByDefault) {
-  TraceRing ring;
-  EXPECT_FALSE(ring.enabled());
-  ring.record("span", 0, 1);
-  EXPECT_TRUE(ring.drain().empty());
-}
-
-TEST(TraceRing, KeepsNewestSpansOldestFirst) {
-  TraceRing ring(3);
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    ring.record("s" + std::to_string(i), i, i * 10);
-  }
-  const auto spans = ring.drain();
-  ASSERT_EQ(spans.size(), 3u);  // capacity bounds retention
-  EXPECT_EQ(spans[0].name, "s2");
-  EXPECT_EQ(spans[1].name, "s3");
-  EXPECT_EQ(spans[2].name, "s4");
-  EXPECT_EQ(spans[2].duration_ns, 40u);
-  EXPECT_TRUE(ring.drain().empty()) << "drain resets the ring";
-}
-
-TEST(TraceRing, ScopedTimerRecordsSpan) {
-  MetricsRegistry reg;
-  TraceRing ring(8);
-  {
-    ScopedTimer timer(reg.histogram("span.ns"), &ring, "propagate");
-  }
-  const auto spans = ring.drain();
-  ASSERT_EQ(spans.size(), 1u);
-  EXPECT_EQ(spans[0].name, "propagate");
-}
-
-TEST(TraceRing, ConcurrentScopedTimersWrapWithoutCorruption) {
-  // Many writers racing through a small ring: wraparound must keep the
-  // ring internally consistent (exactly `capacity` retained spans, every
-  // one a real span, histogram sample count exact).
-  constexpr std::size_t kCapacity = 64;
-  constexpr std::size_t kThreads = 4;
-  constexpr std::size_t kSpansPerThread = 100;
-
-  MetricsRegistry reg;
-  Histogram h = reg.histogram("span.ns");
-  TraceRing ring(kCapacity);
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&h, &ring, t] {
-      const std::string name = "w" + std::to_string(t);
-      for (std::size_t i = 0; i < kSpansPerThread; ++i) {
-        ScopedTimer timer(h, &ring, name);
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-
-  const auto spans = ring.drain();
-  ASSERT_EQ(spans.size(), kCapacity) << "ring must be exactly full after "
-                                        "400 racing records into 64 slots";
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    EXPECT_EQ(spans[i].name.size(), 2u) << "slot " << i << " corrupted";
-    EXPECT_EQ(spans[i].name[0], 'w') << "slot " << i << " corrupted";
-  }
-  const MetricsSnapshot metrics = reg.snapshot();
-  const HistogramSnapshot* snap = metrics.histogram("span.ns");
-  ASSERT_NE(snap, nullptr);
-  EXPECT_EQ(snap->count, kThreads * kSpansPerThread);
-  EXPECT_TRUE(ring.drain().empty()) << "drain resets the ring";
 }
 
 }  // namespace

@@ -213,6 +213,16 @@ TEST(ManifestReader, MalformedDocumentsReportErrors) {
       ManifestReader::read_file("/nonexistent-dir/manifest.json").ok());
 }
 
+TEST(ManifestReader, DeepNestingIsAnErrorNotACrash) {
+  // A 100 KB document nested 100,000 deep is an error, not a stack
+  // overflow in `mpinspect summarize`.
+  const ReadManifest read = ManifestReader::read_string(
+      R"({"tool": "quickstart", "config": )" + std::string(100'000, '['));
+  ASSERT_FALSE(read.ok());
+  EXPECT_NE(read.errors.front().find("nesting too deep"), std::string::npos)
+      << read.errors.front();
+}
+
 TEST(ManifestReader, DocumentWithBenchmarkButNoToolIsAnError) {
   // The bench dialect campaign_wallclock used to write named itself with
   // "benchmark"; it is not a run manifest and gets no fallback.

@@ -242,6 +242,11 @@ TEST(Folded, ParserReportsFormatBreaches) {
   EXPECT_FALSE(problems_of("a;b\n").empty()) << "missing count";
   EXPECT_FALSE(problems_of("a;b 0\n").empty()) << "zero count";
   EXPECT_FALSE(problems_of("a;b x\n").empty()) << "non-numeric count";
+  // A count or a total past 2^64 would wrap and load as a wrong number.
+  EXPECT_FALSE(problems_of("a;b 99999999999999999999\n").empty())
+      << "count past 2^64";
+  EXPECT_FALSE(problems_of("a 18446744073709551615\nb 1\n").empty())
+      << "total past 2^64";
   EXPECT_FALSE(problems_of("a;;b 3\n").empty()) << "empty frame";
   EXPECT_FALSE(problems_of("a;b 2\n\na 1\n").empty()) << "blank line";
   EXPECT_TRUE(problems_of("a;b 2\nmain 1\n").empty());

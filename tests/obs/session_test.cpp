@@ -98,6 +98,26 @@ TEST(SessionArgs, RejectsMalformedAndUnacceptedFlags) {
   }
 }
 
+TEST(ParseCount, TakesOneWholeTokenInRange) {
+  // The shared numeric-flag parser takes one whole token: a prefix parse
+  // reads "2x" as 2, and stoul wraps "-1" to 2^64 - 1.
+  std::string error;
+  EXPECT_EQ(parse_count("--top", "5", error), 5);
+  EXPECT_EQ(parse_count("--threads", "0", error, /*min=*/0), 0);
+  EXPECT_EQ(parse_count("--ases", "2147483647", error, 64), 2147483647);
+  EXPECT_EQ(error, "");
+  for (const char* bad :
+       {"-1", "1x", "2x", "+5", " 5", "5 ", "", "0", "-0", "2147483648",
+        "18446744073709551615"}) {
+    error.clear();
+    EXPECT_EQ(parse_count("--last", bad, error), 1) << bad;
+    EXPECT_NE(error.find("--last"), std::string::npos) << bad;
+  }
+  error.clear();
+  EXPECT_EQ(parse_count("--ases", "63", error, 64), 64);
+  EXPECT_NE(error.find(">= 64"), std::string::npos) << error;
+}
+
 TEST(SessionArgs, UsageListsOnlyAcceptedFlags) {
   EXPECT_EQ(session_usage(kTraceOutFlag | kProfileFlag),
             "[--trace-out <dir>] [--profile[=hz]]");

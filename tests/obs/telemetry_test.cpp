@@ -1,7 +1,7 @@
 // The live telemetry plane: hub ticks, the stall watchdog's exact
-// firing boundary, the timeseries reader's tamper detection, and the
-// LineGuard that keeps ProgressReporter and Logger from shredding each
-// other's stderr lines.
+// firing boundary, the --progress status line the hub draws, the
+// timeseries reader's tamper detection, and the LineGuard that keeps the
+// status line and Logger from shredding each other's stderr lines.
 #include "obs/telemetry_hub.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <string>
 #include <thread>
 
+#include "obs/flight_recorder.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries_reader.hpp"
@@ -35,6 +36,27 @@ class TelemetryTest : public ::testing::Test {
 
   std::string dir_;
 };
+
+/// Everything written to `f`, which is then closed.
+std::string drain(std::FILE* f) {
+  std::fflush(f);
+  const long size = std::ftell(f);
+  std::rewind(f);
+  std::string out(static_cast<std::size_t>(size), '\0');
+  const std::size_t got = std::fread(out.data(), 1, out.size(), f);
+  out.resize(got);
+  std::fclose(f);
+  return out;
+}
+
+std::size_t count_of(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size())) {
+    ++n;
+  }
+  return n;
+}
 
 TEST_F(TelemetryTest, TimeseriesRoundTrip) {
   MetricsRegistry registry;
@@ -143,6 +165,120 @@ TEST_F(TelemetryTest, NoStallWhileNoWorkersAreLive) {
   EXPECT_EQ(hub.stalls(), 0u);
 }
 
+// --- The --progress status line --------------------------------------------
+
+/// A hub that only ticks when told: a started sampler an hour from its
+/// first tick, so stop() still runs the final tick.
+TelemetryConfig status_config(LineGuard* guard,
+                              const FlightRecorder* recorder = nullptr) {
+  TelemetryConfig cfg;
+  cfg.tick_ms = 3'600'000;
+  cfg.recorder = recorder;
+  cfg.status = guard;
+  return cfg;
+}
+
+TEST_F(TelemetryTest, StatusLineRedrawsOnlyWhenCountsMove) {
+  std::FILE* f = std::tmpfile();
+  ASSERT_NE(f, nullptr);
+  LineGuard guard(f);
+  FlightRecorder recorder;
+  recorder.note_verdicts(10, 4);
+  {
+    TelemetryHub hub(status_config(&guard, &recorder));
+    hub.start();
+    hub.add_planned_tasks(4);
+    TelemetryWorkerSlot* slot = hub.open_worker_slot();
+    hub.note_task_done(slot, 1);
+    hub.tick_now();  // 1/4: drawn
+    hub.tick_now();  // nothing moved: not redrawn
+    hub.note_task_done(slot, 3);
+    hub.tick_now();  // 4/4: drawn, and the plan is retired
+    hub.close_worker_slot(slot);
+    hub.tick_now();  // nothing moved
+    hub.stop();      // final tick, nothing moved, no line open
+  }
+  const std::string text = drain(f);
+  EXPECT_EQ(count_of(text, "[campaign]"), 2u) << text;
+  EXPECT_NE(text.find("4/4 tasks (100.0%)"), std::string::npos) << text;
+  EXPECT_NE(text.find("hijacked 40.0%"), std::string::npos) << text;
+  EXPECT_EQ(count_of(text, "\n"), 1u) << text;
+  EXPECT_EQ(text.back(), '\n');
+}
+
+TEST_F(TelemetryTest, StatusLiveLinesOverwriteAndFinalTickEndsTheLine) {
+  std::FILE* f = std::tmpfile();
+  ASSERT_NE(f, nullptr);
+  LineGuard guard(f);
+  {
+    TelemetryHub hub(status_config(&guard));
+    hub.start();
+    hub.add_planned_tasks(4);
+    TelemetryWorkerSlot* slot = hub.open_worker_slot();
+    hub.note_task_done(slot, 1);
+    hub.tick_now();
+    hub.note_task_done(slot, 1);
+    hub.tick_now();
+    hub.stop();  // 2/4 still open: the final tick ends it
+  }
+  const std::string text = drain(f);
+  // Every draw starts with \r so it overwrites the live line in place...
+  EXPECT_EQ(count_of(text, "\r"), 3u) << text;
+  // ...and only the final tick's draw carries a newline, as the very last
+  // byte: the terminal is never left mid-line.
+  EXPECT_EQ(count_of(text, "\n"), 1u) << text;
+  EXPECT_EQ(text.back(), '\n');
+  const std::string last = text.substr(text.find_last_of('\r') + 1);
+  EXPECT_NE(last.find("2/4 tasks (50.0%)"), std::string::npos) << last;
+  EXPECT_NE(last.find("[final]"), std::string::npos) << last;
+}
+
+TEST_F(TelemetryTest, StatusLineIsFormatTickLineOfTheTick) {
+  // The stderr line and `mpinspect watch` draw a tick with one function.
+  std::FILE* f = std::tmpfile();
+  ASSERT_NE(f, nullptr);
+  LineGuard guard(f);
+  TelemetryHub hub(status_config(&guard));
+  hub.start();
+  hub.add_planned_tasks(3);
+  hub.note_task_done(hub.open_worker_slot(), 1);
+  hub.stop();  // the final tick is the only one drawn
+  EXPECT_EQ(drain(f), "\r" + format_tick_line(hub.latest()) + "\n");
+}
+
+TEST(FormatTickLine, ShowsWhatTheWriterRecorded) {
+  TimeseriesTick tick;
+  tick.tick = 41;
+  tick.tasks_done = 812;
+  tick.tasks_total = 2052;
+  tick.tasks_per_s = 131.04;
+  tick.workers_live = 4;
+  EXPECT_EQ(format_tick_line(tick),
+            "[campaign] tick 41  812/2052 tasks (39.6%)  131.0 tasks/s"
+            "  workers 4  stalls 0");
+
+  tick.has_eta = true;
+  tick.eta_s = 3725.0;
+  tick.has_mem = true;
+  tick.rss_kb = 2048;
+  tick.peak_rss_kb = 3072;
+  tick.hot_phase = "classify";
+  tick.verdicts = 10;
+  tick.adversary_verdicts = 4;
+  tick.stalls = 1;
+  tick.final_tick = true;
+  EXPECT_EQ(format_tick_line(tick),
+            "[campaign] tick 41  812/2052 tasks (39.6%)  131.0 tasks/s"
+            "  ETA 1h02m  RSS 2.0 MiB (peak 3.0 MiB)  workers 4  stalls 1"
+            "  hot classify  hijacked 40.0%  [final]");
+
+  // An ETA read from a file can be any double; none is undefined.
+  tick.eta_s = 1e300;
+  EXPECT_NE(format_tick_line(tick).find("ETA "), std::string::npos);
+  tick.tasks_total = 0;
+  EXPECT_NE(format_tick_line(tick).find("  812 tasks  "), std::string::npos);
+}
+
 TEST(TimeseriesReaderTest, RejectsNonMonotoneTickIdsWithLineNumbers) {
   std::istringstream in(
       "{\"type\":\"meta\",\"timeseries_schema\":1,\"tick_ms\":100}\n"
@@ -156,6 +292,20 @@ TEST(TimeseriesReaderTest, RejectsNonMonotoneTickIdsWithLineNumbers) {
   EXPECT_NE(read.errors[0].message.find("non-monotone tick id 1"),
             std::string::npos);
   EXPECT_EQ(read.ticks.size(), 2u);  // the offending tick is dropped
+}
+
+TEST(TimeseriesReaderTest, DeepNestingIsALineErrorNotACrash) {
+  // A tick line nested 100,000 deep is that line's error, not a stack
+  // overflow in `mpinspect tail`.
+  std::istringstream in(
+      "{\"type\":\"meta\",\"timeseries_schema\":1}\n"
+      "{\"type\":\"tick\",\"tick\":0,\"counters\":" +
+      std::string(100'000, '[') + "\n");
+  const ReadTimeseries read = TimeseriesReader::read(in);
+  ASSERT_EQ(read.errors.size(), 1u);
+  EXPECT_EQ(read.errors[0].line, 2u);
+  EXPECT_NE(read.errors[0].message.find("nesting too deep"),
+            std::string::npos);
 }
 
 TEST(TimeseriesReaderTest, UnsupportedSchemaIsAnErrorUnknownTypeIsNot) {
@@ -173,16 +323,6 @@ TEST(TimeseriesReaderTest, UnsupportedSchemaIsAnErrorUnknownTypeIsNot) {
 
 // --- LineGuard -------------------------------------------------------------
 
-std::string drain(std::FILE* f) {
-  std::fflush(f);
-  const long size = std::ftell(f);
-  std::rewind(f);
-  std::string out(static_cast<std::size_t>(size), '\0');
-  const std::size_t got = std::fread(out.data(), 1, out.size(), f);
-  out.resize(got);
-  return out;
-}
-
 TEST(LineGuardTest, PrintlnBlanksAndRedrawsTheLiveLine) {
   std::FILE* f = std::tmpfile();
   ASSERT_NE(f, nullptr);
@@ -191,7 +331,6 @@ TEST(LineGuardTest, PrintlnBlanksAndRedrawsTheLiveLine) {
   guard.println("[warn] stalled");
   guard.finish_live_line();
   const std::string bytes = drain(f);
-  std::fclose(f);
 
   // live line, blank-out, the log line on its own row, live redraw, and
   // a finalizing newline — in that order.
@@ -202,6 +341,18 @@ TEST(LineGuardTest, PrintlnBlanksAndRedrawsTheLiveLine) {
       "\r12/99 tasks"
       "\r12/99 tasks\n";
   EXPECT_EQ(bytes, expected);
+}
+
+TEST(LineGuardTest, ShorterLinesBlankOutLongerPredecessors) {
+  std::FILE* f = std::tmpfile();
+  ASSERT_NE(f, nullptr);
+  LineGuard guard(f);
+  guard.live_line("1000000/2000000 tasks", /*final=*/false);
+  guard.live_line("2/2 tasks", /*final=*/true);
+  const std::string bytes = drain(f);
+  // The final write is padded to the previous line's width, so leftover
+  // characters of the longer live line cannot survive it.
+  EXPECT_EQ(bytes, "\r1000000/2000000 tasks\r2/2 tasks            \n");
 }
 
 TEST(LineGuardTest, ConcurrentWritersNeverShredALogLine) {
@@ -223,7 +374,6 @@ TEST(LineGuardTest, ConcurrentWritersNeverShredALogLine) {
   logs.join();
   guard.finish_live_line();
   const std::string bytes = drain(f);
-  std::fclose(f);
 
   // Every println line must appear intact: preceded by line start
   // (\r or \n) and followed by its newline, never torn by a redraw.

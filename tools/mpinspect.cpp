@@ -36,9 +36,11 @@
 //       Live view of a running campaign: re-reads the timeseries.ndjson
 //       its --telemetry-out is growing and redraws one status line per
 //       tick: tasks done/total, tasks/s, ETA, RSS, live workers, stalls,
-//       hot phase. A target not ending in ".ndjson" is a bundle dir, as
-//       for the writer; it may not exist yet. Only complete lines are
-//       parsed, so a tick still being appended waits for the next poll.
+//       hot phase, hijack rate (obs::format_tick_line, the line the
+//       run's own --progress draws). A target not ending in ".ndjson"
+//       is a bundle dir, as for the writer; it may not exist yet. Only
+//       complete lines are parsed, so a tick still being appended waits
+//       for the next poll.
 //       Exits 0 when the final tick lands, 1 on a malformed file or if
 //       the file never appears. --once renders the current last tick and
 //       exits immediately.
@@ -62,7 +64,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -81,6 +82,7 @@
 #include "obs/log.hpp"
 #include "obs/manifest_reader.hpp"
 #include "obs/run_compare.hpp"
+#include "obs/session.hpp"
 #include "obs/telemetry_hub.hpp"
 #include "obs/timeseries_reader.hpp"
 
@@ -103,6 +105,12 @@ int usage() {
       "  mpinspect tail <dir | file.ndjson> [--last <N>]\n"
       "  mpinspect matrix <matrix.json> [--json]\n");
   return 2;
+}
+
+/// A malformed numeric value: say which, then the usage (exit 2).
+int bad_value(const std::string& error) {
+  std::fprintf(stderr, "%s\n", error.c_str());
+  return usage();
 }
 
 std::string format_ms(std::uint64_t ns) {
@@ -252,7 +260,7 @@ void summarize_manifest_json(const obs::ReadManifest& manifest) {
                 static_cast<unsigned long long>(profile.dropped),
                 static_cast<unsigned long long>(profile.truncated));
     for (std::size_t i = 0; i < profile.symbols.size(); ++i) {
-      const obs::ReadHotSymbol& symbol = profile.symbols[i];
+      const obs::HotSymbol& symbol = profile.symbols[i];
       std::printf("%s\n    {\"name\": \"%s\", \"self\": %llu, "
                   "\"total\": %llu, \"self_share\": %g}",
                   i == 0 ? "" : ",", obs::json_escape(symbol.name).c_str(),
@@ -382,7 +390,7 @@ void summarize_manifest(const obs::ReadManifest& manifest) {
   if (manifest.has_profile) {
     const obs::ReadProfile& profile = manifest.profile;
     analysis::TextTable table({"Hot symbol", "Self", "Total", "Self share"});
-    for (const obs::ReadHotSymbol& symbol : profile.symbols) {
+    for (const obs::HotSymbol& symbol : profile.symbols) {
       table.add_row({symbol.name, std::to_string(symbol.self),
                      std::to_string(symbol.total),
                      format_pct01(profile.self_share(symbol.self))});
@@ -441,15 +449,9 @@ int cmd_summarize(const std::vector<std::string>& args) {
 // ---------------------------------------------------------------------------
 // hotspots
 
-struct HotspotRow {
-  std::string name;
-  std::uint64_t self = 0;
-  std::uint64_t total = 0;
-};
-
 void print_hotspots_json(const std::string& source, std::uint64_t hz,
                          std::uint64_t samples,
-                         const std::vector<HotspotRow>& rows) {
+                         const std::vector<obs::HotSymbol>& rows) {
   std::printf("{\n  \"source\": \"%s\",\n", obs::json_escape(source).c_str());
   if (hz != 0) std::printf("  \"hz\": %llu,\n",
                            static_cast<unsigned long long>(hz));
@@ -457,7 +459,7 @@ void print_hotspots_json(const std::string& source, std::uint64_t hz,
               static_cast<unsigned long long>(samples));
   const double denom = samples == 0 ? 1.0 : static_cast<double>(samples);
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    const HotspotRow& row = rows[i];
+    const obs::HotSymbol& row = rows[i];
     std::printf("%s\n    {\"name\": \"%s\", \"self\": %llu, "
                 "\"total\": %llu, \"self_share\": %g, \"total_share\": %g}",
                 i == 0 ? "" : ",", obs::json_escape(row.name).c_str(),
@@ -477,12 +479,10 @@ int cmd_hotspots(const std::vector<std::string>& args) {
     if (args[i] == "--json") {
       as_json = true;
     } else if (args[i] == "--top" && i + 1 < args.size()) {
-      try {
-        top_n = static_cast<std::size_t>(std::stoul(args[++i]));
-      } catch (const std::exception&) {
-        std::fprintf(stderr, "bad --top: %s\n", args[i].c_str());
-        return 2;
-      }
+      std::string error;
+      top_n = static_cast<std::size_t>(
+          obs::parse_count("--top", args[++i], error));
+      if (!error.empty()) return bad_value(error);
     } else if (target.empty()) {
       target = args[i];
     } else {
@@ -491,7 +491,7 @@ int cmd_hotspots(const std::vector<std::string>& args) {
   }
   if (target.empty()) return usage();
 
-  std::vector<HotspotRow> rows;
+  std::vector<obs::HotSymbol> rows;
   std::uint64_t hz = 0;
   std::uint64_t samples = 0;
   std::string source;
@@ -512,9 +512,7 @@ int cmd_hotspots(const std::vector<std::string>& args) {
     }
     if (!profile.ok()) return 1;
     samples = profile.total;
-    for (const obs::ReadHotSymbol& symbol : profile.symbols) {
-      rows.push_back({symbol.name, symbol.self, symbol.total});
-    }
+    rows = profile.symbols;
   } else {
     const obs::ReadManifest manifest = obs::ManifestReader::read_file(target);
     for (const std::string& error : manifest.errors) {
@@ -531,9 +529,7 @@ int cmd_hotspots(const std::vector<std::string>& args) {
     source = target;
     hz = manifest.profile.hz;
     samples = manifest.profile.samples;
-    for (const obs::ReadHotSymbol& symbol : manifest.profile.symbols) {
-      rows.push_back({symbol.name, symbol.self, symbol.total});
-    }
+    rows = manifest.profile.symbols;
   }
   if (rows.size() > top_n) rows.resize(top_n);
 
@@ -544,7 +540,7 @@ int cmd_hotspots(const std::vector<std::string>& args) {
   analysis::TextTable table(
       {"Hot symbol", "Self", "Total", "Self share", "Total share"});
   const double denom = samples == 0 ? 1.0 : static_cast<double>(samples);
-  for (const HotspotRow& row : rows) {
+  for (const obs::HotSymbol& row : rows) {
     table.add_row({row.name, std::to_string(row.self),
                    std::to_string(row.total),
                    format_pct01(static_cast<double>(row.self) / denom),
@@ -839,55 +835,6 @@ int cmd_check(const std::vector<std::string>& args) {
 // ---------------------------------------------------------------------------
 // watch / tail
 
-std::string format_mib(std::uint64_t kb) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%.1f MiB",
-                static_cast<double>(kb) / 1024.0);
-  return buf;
-}
-
-std::string format_eta(double seconds) {
-  char buf[48];
-  if (seconds >= 3600.0) {
-    std::snprintf(buf, sizeof buf, "%dh%02dm", static_cast<int>(seconds) / 3600,
-                  (static_cast<int>(seconds) % 3600) / 60);
-  } else if (seconds >= 60.0) {
-    std::snprintf(buf, sizeof buf, "%dm%02ds", static_cast<int>(seconds) / 60,
-                  static_cast<int>(seconds) % 60);
-  } else {
-    std::snprintf(buf, sizeof buf, "%.1fs", seconds);
-  }
-  return buf;
-}
-
-/// One status line for a tick; every ISSUE-mandated field that the
-/// writer recorded, nothing invented for the ones it omitted.
-std::string render_tick(const obs::TimeseriesTick& tick) {
-  std::string line = "[watch] tick " + std::to_string(tick.tick);
-  line += "  " + std::to_string(tick.tasks_done);
-  if (tick.tasks_total != 0) {
-    char pct[48];
-    std::snprintf(pct, sizeof pct, "/%llu tasks (%.1f%%)",
-                  static_cast<unsigned long long>(tick.tasks_total),
-                  100.0 * static_cast<double>(tick.tasks_done) /
-                      static_cast<double>(tick.tasks_total));
-    line += pct;
-  } else {
-    line += " tasks";
-  }
-  line += "  " + format_double(tick.tasks_per_s, "%.1f") + " tasks/s";
-  if (tick.has_eta) line += "  ETA " + format_eta(tick.eta_s);
-  if (tick.has_mem) {
-    line += "  RSS " + format_mib(tick.rss_kb) + " (peak " +
-            format_mib(tick.peak_rss_kb) + ")";
-  }
-  line += "  workers " + std::to_string(tick.workers_live);
-  line += "  stalls " + std::to_string(tick.stalls);
-  if (!tick.hot_phase.empty()) line += "  hot " + tick.hot_phase;
-  if (tick.final_tick) line += "  [final]";
-  return line;
-}
-
 /// The ticks on the complete lines of a timeseries file that may still
 /// be growing: the writer appends a tick line by line, so text after the
 /// last '\n' is a tick in flight, left for the next poll.
@@ -904,11 +851,9 @@ int cmd_watch(const std::vector<std::string>& args) {
   bool once = false;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--interval-ms" && i + 1 < args.size()) {
-      interval_ms = std::atoi(args[++i].c_str());
-      if (interval_ms <= 0) {
-        std::fprintf(stderr, "bad --interval-ms: %s\n", args[i].c_str());
-        return 2;
-      }
+      std::string error;
+      interval_ms = obs::parse_count("--interval-ms", args[++i], error);
+      if (!error.empty()) return bad_value(error);
     } else if (args[i] == "--once") {
       once = true;
     } else if (target.empty()) {
@@ -950,7 +895,8 @@ int cmd_watch(const std::vector<std::string>& args) {
     const obs::TimeseriesTick* tick = read.last_tick();
     if (tick != nullptr && (last_rendered_tick != tick->tick || once)) {
       last_rendered_tick = tick->tick;
-      guard.live_line(render_tick(*tick), /*final=*/once || tick->final_tick);
+      guard.live_line(obs::format_tick_line(*tick),
+                      /*final=*/once || tick->final_tick);
       if (tick->final_tick && !once) return 0;
     }
     if (once) {
@@ -974,12 +920,10 @@ int cmd_tail(const std::vector<std::string>& args) {
   std::size_t last_n = 10;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--last" && i + 1 < args.size()) {
-      try {
-        last_n = static_cast<std::size_t>(std::stoul(args[++i]));
-      } catch (const std::exception&) {
-        std::fprintf(stderr, "bad --last: %s\n", args[i].c_str());
-        return 2;
-      }
+      std::string error;
+      last_n = static_cast<std::size_t>(
+          obs::parse_count("--last", args[++i], error));
+      if (!error.empty()) return bad_value(error);
     } else if (target.empty()) {
       target = args[i];
     } else {
@@ -1015,7 +959,10 @@ int cmd_tail(const std::vector<std::string>& args) {
          format_double(static_cast<double>(tick.t_ns) / 1e9, "%.1fs"),
          tasks, format_double(tick.tasks_per_s, "%.1f"),
          std::to_string(tick.workers_live), std::to_string(tick.stalls),
-         tick.has_mem ? format_mib(tick.rss_kb) : "-",
+         tick.has_mem
+             ? format_double(static_cast<double>(tick.rss_kb) / 1024.0,
+                             "%.1f MiB")
+             : "-",
          tick.hot_phase.empty() ? "-" : tick.hot_phase});
   }
   std::printf("%s", table.to_string().c_str());
