@@ -9,23 +9,15 @@ namespace marcopolo::topo {
 
 namespace {
 
-constexpr std::uint32_t kNoCell = std::numeric_limits<std::uint32_t>::max();
+// Points per leaf: small enough that a query scans a few dozen points,
+// large enough that the tree stays shallow.
+constexpr std::uint32_t kLeafSize = 8;
 
-// 12 degree x 15 degree cells: coarse enough that the 600-AS default fits
-// in a handful of cells, fine enough that a 50k-AS query prunes nearly
-// everything with one bound test per cell.
-constexpr std::size_t kLatBins = 15;
-constexpr std::size_t kLonBins = 24;
-
-struct Unit {
-  double x, y, z;
-};
-
-Unit unit_of(netsim::GeoPoint p) {
+std::array<double, 3> unit_of(netsim::GeoPoint p) {
   const double lat = p.lat * std::numbers::pi / 180.0;
   const double lon = p.lon * std::numbers::pi / 180.0;
   const double c = std::cos(lat);
-  return Unit{c * std::cos(lon), c * std::sin(lon), std::sin(lat)};
+  return {c * std::cos(lon), c * std::sin(lon), std::sin(lat)};
 }
 
 /// Ranked query hit; orders ascending by distance, ties by insertion index
@@ -41,133 +33,100 @@ struct Hit {
 
 }  // namespace
 
-std::size_t SpatialIndex::cell_of(netsim::GeoPoint p) const {
-  const double lat01 = std::clamp((p.lat + 90.0) / 180.0, 0.0, 1.0);
-  const double lon01 = std::clamp((p.lon + 180.0) / 360.0, 0.0, 1.0);
-  const std::size_t lat_bin = std::min(
-      lat_bins_ - 1, static_cast<std::size_t>(lat01 * static_cast<double>(lat_bins_)));
-  const std::size_t lon_bin = std::min(
-      lon_bins_ - 1, static_cast<std::size_t>(lon01 * static_cast<double>(lon_bins_)));
-  return lat_bin * lon_bins_ + lon_bin;
-}
-
-SpatialIndex::SpatialIndex(const std::vector<netsim::GeoPoint>& points)
-    : lat_bins_(kLatBins), lon_bins_(kLonBins) {
-  const std::size_t n = points.size();
-  x_.resize(n);
-  y_.resize(n);
-  z_.resize(n);
-  cell_slot_.assign(lat_bins_ * lon_bins_, kNoCell);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Unit u = unit_of(points[i]);
-    x_[i] = u.x;
-    y_[i] = u.y;
-    z_[i] = u.z;
-    const std::size_t cell = cell_of(points[i]);
-    if (cell_slot_[cell] == kNoCell) {
-      cell_slot_[cell] = static_cast<std::uint32_t>(cells_.size());
-      cells_.emplace_back();
-    }
-    cells_[cell_slot_[cell]].members.push_back(static_cast<std::uint32_t>(i));
-  }
-  for (Cell& cell : cells_) {
-    Vec3 sum;
-    for (const std::uint32_t i : cell.members) {
-      sum.x += x_[i];
-      sum.y += y_[i];
-      sum.z += z_[i];
-    }
-    const double inv = 1.0 / static_cast<double>(cell.members.size());
-    cell.centroid = Vec3{sum.x * inv, sum.y * inv, sum.z * inv};
-    for (const std::uint32_t i : cell.members) {
-      const double dx = x_[i] - cell.centroid.x;
-      const double dy = y_[i] - cell.centroid.y;
-      const double dz = z_[i] - cell.centroid.z;
-      cell.radius =
-          std::max(cell.radius, std::sqrt(dx * dx + dy * dy + dz * dz));
-    }
-  }
-}
-
-std::vector<std::uint32_t> SpatialIndex::nearest(netsim::GeoPoint where,
-                                                 std::size_t count) const {
-  std::vector<std::uint32_t> out;
-  if (count == 0 || x_.empty()) return out;
-  count = std::min(count, x_.size());
-
-  const Unit q = unit_of(where);
-
-  // `best` is kept sorted ascending (distance, index); the back is the
-  // current kth-best, the pruning bound once full.
+struct SpatialIndex::Search {
+  std::array<double, 3> q;
+  std::size_t count;
+  /// Kept sorted ascending (distance, index); the back is the current
+  /// kth-best, the pruning bound once full.
   std::vector<Hit> best;
-  best.reserve(count);
-  const auto offer = [&](std::uint32_t i) {
-    const double dx = x_[i] - q.x;
-    const double dy = y_[i] - q.y;
-    const double dz = z_[i] - q.z;
-    const Hit hit{dx * dx + dy * dy + dz * dz, i};
+
+  void offer(const Point& p) {
+    const double dx = p.unit[0] - q[0];
+    const double dy = p.unit[1] - q[1];
+    const double dz = p.unit[2] - q[2];
+    const Hit hit{dx * dx + dy * dy + dz * dz, p.index};
     if (best.size() == count && !hit.better_than(best.back())) return;
     auto pos = std::upper_bound(
         best.begin(), best.end(), hit,
         [](const Hit& a, const Hit& b) { return a.better_than(b); });
     best.insert(pos, hit);
     if (best.size() > count) best.pop_back();
-  };
-  const auto scan_cell = [&](std::uint32_t slot) {
-    for (const std::uint32_t i : cells_[slot].members) offer(i);
-  };
+  }
+};
 
-  // Prime the bound from the query's own cell neighborhood so the pass
-  // over the remaining cells starts with a tight kth-best.
-  const std::size_t home = cell_of(where);
-  const std::size_t home_lat = home / lon_bins_;
-  const std::size_t home_lon = home % lon_bins_;
-  std::uint32_t primed[9];
-  std::size_t n_primed = 0;
-  for (int dlat = -1; dlat <= 1; ++dlat) {
-    const long lat_bin = static_cast<long>(home_lat) + dlat;
-    if (lat_bin < 0 || lat_bin >= static_cast<long>(lat_bins_)) continue;
-    for (int dlon = -1; dlon <= 1; ++dlon) {
-      const std::size_t lon_bin = (home_lon + lon_bins_ +
-                                   static_cast<std::size_t>(dlon + 1) - 1) %
-                                  lon_bins_;
-      const std::uint32_t slot =
-          cell_slot_[static_cast<std::size_t>(lat_bin) * lon_bins_ + lon_bin];
-      if (slot == kNoCell) continue;
-      bool seen = false;
-      for (std::size_t s = 0; s < n_primed; ++s) {
-        if (primed[s] == slot) seen = true;
-      }
-      if (seen) continue;
-      primed[n_primed++] = slot;
-      scan_cell(slot);
+SpatialIndex::SpatialIndex(const std::vector<netsim::GeoPoint>& points) {
+  points_.reserve(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    points_.push_back(Point{unit_of(points[i]), static_cast<std::uint32_t>(i)});
+  }
+  if (!points_.empty()) {
+    (void)build(0, static_cast<std::uint32_t>(points_.size()));
+  }
+}
+
+std::uint32_t SpatialIndex::build(std::uint32_t begin, std::uint32_t end) {
+  const auto id = static_cast<std::uint32_t>(nodes_.size());
+  nodes_.push_back(Node{begin, end});
+  if (end - begin <= kLeafSize) return id;
+
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::array<double, 3> lo = {kInf, kInf, kInf};
+  std::array<double, 3> hi = {-kInf, -kInf, -kInf};
+  for (std::uint32_t i = begin; i < end; ++i) {
+    for (std::size_t a = 0; a < 3; ++a) {
+      lo[a] = std::min(lo[a], points_[i].unit[a]);
+      hi[a] = std::max(hi[a], points_[i].unit[a]);
     }
   }
-
-  // One pass over every other cell. A cell is skipped only when even its
-  // closest possible member (triangle inequality: |q - centroid| - radius)
-  // is strictly farther than the kth-best, which preserves distance ties —
-  // and with them the index tie-break a full sort would apply.
-  for (std::uint32_t slot = 0; slot < cells_.size(); ++slot) {
-    bool was_primed = false;
-    for (std::size_t s = 0; s < n_primed; ++s) {
-      if (primed[s] == slot) was_primed = true;
-    }
-    if (was_primed) continue;
-    if (best.size() == count) {
-      const Vec3& c = cells_[slot].centroid;
-      const double dx = c.x - q.x;
-      const double dy = c.y - q.y;
-      const double dz = c.z - q.z;
-      const double lb =
-          std::sqrt(dx * dx + dy * dy + dz * dz) - cells_[slot].radius;
-      if (lb > 0.0 && lb * lb > best.back().dist2) continue;
-    }
-    scan_cell(slot);
+  std::uint8_t axis = 0;
+  for (std::uint8_t a = 1; a < 3; ++a) {
+    if (hi[a] - lo[a] > hi[axis] - lo[axis]) axis = a;
   }
 
-  out.reserve(best.size());
-  for (const Hit& hit : best) out.push_back(hit.index);
+  // Median split; the index tie-break makes the two halves a function of
+  // the point set alone.
+  const std::uint32_t mid = begin + (end - begin) / 2;
+  std::nth_element(points_.begin() + begin, points_.begin() + mid,
+                   points_.begin() + end,
+                   [axis](const Point& a, const Point& b) {
+                     return a.unit[axis] < b.unit[axis] ||
+                            (a.unit[axis] == b.unit[axis] && a.index < b.index);
+                   });
+  const double split = points_[mid].unit[axis];
+  (void)build(begin, mid);  // the left child is node id + 1
+  const std::uint32_t right = build(mid, end);
+  nodes_[id].right = right;
+  nodes_[id].axis = axis;
+  nodes_[id].split = split;
+  return id;
+}
+
+void SpatialIndex::search(std::uint32_t node, Search& s) const {
+  const Node& n = nodes_[node];
+  if (n.right == 0) {
+    for (std::uint32_t i = n.begin; i < n.end; ++i) s.offer(points_[i]);
+    return;
+  }
+  const double gap = s.q[n.axis] - n.split;
+  const std::uint32_t near = gap < 0.0 ? node + 1 : n.right;
+  const std::uint32_t far = gap < 0.0 ? n.right : node + 1;
+  search(near, s);
+  if (s.best.size() < s.count || !(gap * gap > s.best.back().dist2)) {
+    search(far, s);
+  }
+}
+
+std::vector<std::uint32_t> SpatialIndex::nearest(netsim::GeoPoint where,
+                                                 std::size_t count) const {
+  std::vector<std::uint32_t> out;
+  if (count == 0 || points_.empty()) return out;
+
+  Search s{unit_of(where), std::min(count, points_.size()), {}};
+  s.best.reserve(s.count);
+  search(0, s);
+
+  out.reserve(s.best.size());
+  for (const Hit& hit : s.best) out.push_back(hit.index);
   return out;
 }
 

@@ -142,8 +142,8 @@ TEST(Internet, DeployRovMarksRequestedFraction) {
 }
 
 TEST(Internet, NearestTier2MatchesBruteForce) {
-  // The spatial bucket index must select exactly what the old full sort
-  // did: the k closest tier-2s, ties broken by insertion order.
+  // The spatial index must select exactly what a full sort does: the k
+  // closest tier-2s, ties broken by insertion order.
   Internet net(small_config());
   const std::vector<netsim::GeoPoint> queries = {
       {48.86, 2.35},    // Paris
