@@ -42,47 +42,47 @@ int main() {
                              "ROA", "LE median", "CF median",
                              "Capture (mean)"});
 
+  // One topology for the whole sweep; each ROV level redeploys on it.
+  core::Testbed testbed;
+
+  // Per-victim ROAs: victim v's /24 authorizes only v's ASN. The strict
+  // registry allows no more-specifics; the MAX_LEN registry allows /25
+  // (the RFC 9319 anti-pattern).
+  core::FastCampaignConfig proto;
+  proto.per_victim_prefix = true;
+  bgp::RoaRegistry strict;
+  bgp::RoaRegistry maxlen;
+  for (std::size_t v = 0; v < testbed.sites().size(); ++v) {
+    const auto asn =
+        testbed.internet().graph().asn_of(testbed.sites()[v].node);
+    strict.add(bgp::Roa{proto.victim_prefix(v), asn, std::nullopt});
+    maxlen.add(bgp::Roa{proto.victim_prefix(v), asn, std::uint8_t{25}});
+  }
+
+  const auto le = core::lets_encrypt_spec(testbed);
+  const auto cf = core::cloudflare_spec(testbed);
+
+  const struct {
+    const char* attack;
+    const char* roa;
+    bgp::AttackType type;
+    const bgp::RoaRegistry* roas;
+    bool cloud_edge;
+  } rows[] = {
+      {"equally-specific", "strict", bgp::AttackType::EquallySpecific,
+       &strict, false},
+      {"equally-specific", "strict", bgp::AttackType::EquallySpecific,
+       &strict, true},
+      {"forged-origin", "strict", bgp::AttackType::ForgedOriginPrepend,
+       &strict, true},
+      {"sub-prefix", "strict", bgp::AttackType::SubPrefix, &strict, false},
+      {"sub-prefix", "strict", bgp::AttackType::SubPrefix, &strict, true},
+      {"sub-prefix", "MAX_LEN /25", bgp::AttackType::SubPrefix, &maxlen,
+       true},
+  };
+
   for (const double rov : {0.0, 0.3, 0.6, 1.0}) {
-    core::TestbedConfig tb_cfg;
-    tb_cfg.rov_fraction = rov;
-    core::Testbed testbed(tb_cfg);
-
-    // Per-victim ROAs: victim v's /24 authorizes only v's ASN. The strict
-    // registry allows no more-specifics; the MAX_LEN registry allows /25
-    // (the RFC 9319 anti-pattern).
-    core::FastCampaignConfig proto;
-    proto.per_victim_prefix = true;
-    bgp::RoaRegistry strict;
-    bgp::RoaRegistry maxlen;
-    for (std::size_t v = 0; v < testbed.sites().size(); ++v) {
-      const auto asn =
-          testbed.internet().graph().asn_of(testbed.sites()[v].node);
-      strict.add(bgp::Roa{proto.victim_prefix(v), asn, std::nullopt});
-      maxlen.add(bgp::Roa{proto.victim_prefix(v), asn, std::uint8_t{25}});
-    }
-
-    const auto le = core::lets_encrypt_spec(testbed);
-    const auto cf = core::cloudflare_spec(testbed);
-
-    const struct {
-      const char* attack;
-      const char* roa;
-      bgp::AttackType type;
-      const bgp::RoaRegistry* roas;
-      bool cloud_edge;
-    } rows[] = {
-        {"equally-specific", "strict", bgp::AttackType::EquallySpecific,
-         &strict, false},
-        {"equally-specific", "strict", bgp::AttackType::EquallySpecific,
-         &strict, true},
-        {"forged-origin", "strict", bgp::AttackType::ForgedOriginPrepend,
-         &strict, true},
-        {"sub-prefix", "strict", bgp::AttackType::SubPrefix, &strict, false},
-        {"sub-prefix", "strict", bgp::AttackType::SubPrefix, &strict, true},
-        {"sub-prefix", "MAX_LEN /25", bgp::AttackType::SubPrefix, &maxlen,
-         true},
-    };
-
+    testbed.internet().deploy_rov(rov, topo::kDefaultRovSeed);
     for (const auto& row : rows) {
       core::FastCampaignConfig cfg = proto;
       cfg.type = row.type;

@@ -63,37 +63,36 @@ AttackMatrixReport build_attack_matrix(const AttackMatrixConfig& config) {
       config.rov_levels.size() * config.otc_levels.size();
   report.cells.resize(report.attacks.size() * grid);
 
+  core::TestbedConfig tb;
+  tb.internet = config.internet;
+  core::Testbed testbed(tb);
+
+  core::FastCampaignConfig run;
+  run.attacks = report.attacks;
+  run.tie_break = config.tie_break;
+  run.tie_break_seed = config.tie_break_seed;
+  run.threads = config.threads;
+  // Per-victim prefixes + one ROA per victim: without real ROAs a ROV
+  // fraction is a no-op (everything is NotFound), and MAX_LEN absence is
+  // what makes sub-prefix announcements ROV-invalid.
+  run.per_victim_prefix = true;
+  // The matrix's ROV axis is *transit* deployment; with edge ROV on, the
+  // cloud perspectives would drop invalid origins at every grid point and
+  // flatten the axis to a constant.
+  run.cloud_edge_rov = false;
+  bgp::RoaRegistry roas;
+  for (std::size_t v = 0; v < testbed.sites().size(); ++v) {
+    roas.add(bgp::Roa{
+        run.victim_prefix(v),
+        testbed.internet().graph().asn_of(testbed.sites()[v].node),
+        std::nullopt});
+  }
+  run.roas = &roas;
+
   for (std::size_t ri = 0; ri < config.rov_levels.size(); ++ri) {
     for (std::size_t oi = 0; oi < config.otc_levels.size(); ++oi) {
-      core::TestbedConfig tb;
-      tb.internet = config.internet;
-      tb.rov_fraction = config.rov_levels[ri];
-      tb.rov_seed = config.rov_seed;
-      tb.otc_fraction = config.otc_levels[oi];
-      tb.otc_seed = config.otc_seed;
-      const core::Testbed testbed(tb);
-
-      core::FastCampaignConfig run;
-      run.attacks = report.attacks;
-      run.tie_break = config.tie_break;
-      run.tie_break_seed = config.tie_break_seed;
-      run.threads = config.threads;
-      // Per-victim prefixes + one ROA per victim: without real ROAs a
-      // ROV fraction is a no-op (everything is NotFound), and MAX_LEN
-      // absence is what makes sub-prefix announcements ROV-invalid.
-      run.per_victim_prefix = true;
-      // The matrix's ROV axis is *transit* deployment; with edge ROV on,
-      // the cloud perspectives would drop invalid origins at every grid
-      // point and flatten the axis to a constant.
-      run.cloud_edge_rov = false;
-      bgp::RoaRegistry roas;
-      for (std::size_t v = 0; v < testbed.sites().size(); ++v) {
-        roas.add(bgp::Roa{
-            run.victim_prefix(v),
-            testbed.internet().graph().asn_of(testbed.sites()[v].node),
-            std::nullopt});
-      }
-      run.roas = &roas;
+      testbed.internet().deploy_rov(config.rov_levels[ri], config.rov_seed);
+      testbed.internet().deploy_otc(config.otc_levels[oi], config.otc_seed);
       const ResultStore store = core::run_fast_campaign(testbed, run);
 
       report.sites = store.num_sites();

@@ -4,10 +4,10 @@
 // well does MPIC hold up as the two transit-level defenses are deployed —
 // ROV (RPKI route-origin validation, the counter to origin hijacks) at
 // {none, partial, full} and RFC 9234 OTC (route-leak rejection) at
-// {off, partial, on}? Each (rov, otc) grid point builds one testbed
-// (same Internet seed, per-victim prefixes, one ROA per victim) and runs
-// a single multi-attack campaign whose per-attack store planes are then
-// scored with the Appendix-A resilience kernels.
+// {off, partial, on}? The sweep builds one testbed (per-victim prefixes,
+// one ROA per victim); each (rov, otc) grid point redeploys the two
+// defenses on it and runs a single multi-attack campaign whose per-attack
+// store planes are then scored with the Appendix-A resilience kernels.
 //
 // The report is a flat cell list (attack-major, then rov, then otc) and
 // serializes to a small self-describing JSON artifact; `mpinspect matrix`
@@ -26,8 +26,8 @@
 namespace marcopolo::analysis {
 
 struct AttackMatrixConfig {
-  /// Topology every grid point regenerates (same seed → same Internet,
-  /// so cells differ only in deployed defenses).
+  /// Topology every grid point shares, so cells differ only in deployed
+  /// defenses.
   topo::InternetConfig internet;
   /// Attack types to sweep; empty = every registered type.
   std::vector<bgp::AttackType> attacks;
@@ -37,8 +37,8 @@ struct AttackMatrixConfig {
   std::vector<double> otc_levels = {0.0, 0.5, 1.0};
   bgp::TieBreakMode tie_break = bgp::TieBreakMode::Hashed;
   std::uint64_t tie_break_seed = 0xCAFE;
-  std::uint64_t rov_seed = 0x50A;
-  std::uint64_t otc_seed = 0x07C;
+  std::uint64_t rov_seed = topo::kDefaultRovSeed;
+  std::uint64_t otc_seed = topo::kDefaultOtcSeed;
   /// Campaign worker threads (0 = hardware concurrency).
   std::size_t threads = 0;
   /// Quorum threshold for the "quorum" resilience column: the attack
@@ -75,9 +75,10 @@ struct AttackMatrixReport {
   std::vector<AttackMatrixCell> cells;
 };
 
-/// Build the full matrix: |rov_levels| x |otc_levels| testbeds, one
-/// multi-attack campaign each. Throws std::invalid_argument on an empty
-/// level list or a duplicate attack type.
+/// Build the full matrix: one testbed, redeployed at each of the
+/// |rov_levels| x |otc_levels| grid points, one multi-attack campaign
+/// each. Throws std::invalid_argument on an empty level list or a
+/// duplicate attack type.
 [[nodiscard]] AttackMatrixReport build_attack_matrix(
     const AttackMatrixConfig& config = {});
 

@@ -35,12 +35,6 @@ Testbed::Testbed(const TestbedConfig& config) : internet_(config.internet) {
     }
   }
 
-  if (config.rov_fraction > 0.0) {
-    internet_.deploy_rov(config.rov_fraction, config.rov_seed);
-  }
-  if (config.otc_fraction > 0.0) {
-    internet_.deploy_otc(config.otc_fraction, config.otc_seed);
-  }
   internet_.graph().validate();
 }
 

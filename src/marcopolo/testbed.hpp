@@ -3,6 +3,11 @@
 // One synthetic Internet + 32 Vultr victim/adversary sites + three cloud
 // backbones hosting 106 perspectives (27 AWS, 40 GCP, 39 Azure), with a
 // global perspective registry that analysis indexes into.
+//
+// A testbed is built with no transit defense deployed. ROV and RFC 9234
+// OTC are deployed on the built topology (internet().deploy_rov /
+// deploy_otc), and each call replaces the previous deployment, so a sweep
+// over deployments builds the topology once.
 #pragma once
 
 #include <deque>
@@ -28,14 +33,6 @@ struct TestbedConfig {
   /// Cloud provider models to instantiate; defaults to AWS, GCP, Azure with
   /// paper-matching policies when empty.
   std::vector<cloud::CloudConfig> clouds;
-  /// Fraction of transit ASes enforcing ROV (0 = none).
-  double rov_fraction = 0.0;
-  std::uint64_t rov_seed = 0x50A;
-  /// Fraction of transit ASes enforcing RFC 9234 OTC (0 = none). A
-  /// distinct seed keeps the OTC deployment only partially overlapping the
-  /// ROV one, mirroring reality.
-  double otc_fraction = 0.0;
-  std::uint64_t otc_seed = 0x07C;
 };
 
 struct PerspectiveRecord {

@@ -47,6 +47,10 @@ struct InternetConfig {
 [[nodiscard]] InternetConfig scaled_internet_config(int total_ases,
                                                     std::uint64_t seed = 42);
 
+/// The seeds every ROV / OTC deployment sweep uses unless it names its own.
+inline constexpr std::uint64_t kDefaultRovSeed = 0x50A;
+inline constexpr std::uint64_t kDefaultOtcSeed = 0x07C;
+
 /// One AS tier, stored as metadata for attachment helpers.
 enum class AsTier : std::uint8_t { Tier1 = 1, Tier2 = 2, Tier3 = 3, Stub = 4 };
 
@@ -87,11 +91,13 @@ class Internet {
   [[nodiscard]] bgp::NodeId tier1_for(std::uint64_t salt) const;
 
   /// Mark a fraction of transit ASes (tier-1/2/3) as ROV-enforcing, chosen
-  /// deterministically from `seed`.
+  /// deterministically from `seed` and the node order. Replaces any
+  /// previous ROV deployment, so one built topology serves a whole sweep
+  /// of deployments.
   void deploy_rov(double fraction, std::uint64_t seed);
 
   /// Mark a fraction of transit ASes as enforcing RFC 9234 OTC (route-leak
-  /// marking and rejection), chosen deterministically from `seed`.
+  /// marking and rejection), chosen and replaced like deploy_rov.
   /// Independent of deploy_rov: distinct seeds give partially overlapping
   /// ROV/OTC deployments, as in the real Internet.
   void deploy_otc(double fraction, std::uint64_t seed);

@@ -131,9 +131,9 @@ TEST(CampaignParallel, IncrementalModeIsPureOptimizationUnderRov) {
     std::optional<Testbed> enforcing;
     if (rov_fraction > 0.0) {
       TestbedConfig tb_cfg = testing_support::small_testbed_config();
-      tb_cfg.rov_fraction = rov_fraction;
       tb_cfg.site_catalog = topo::vultr_sites().first(16);
       enforcing.emplace(tb_cfg);
+      enforcing->internet().deploy_rov(rov_fraction, topo::kDefaultRovSeed);
     }
     const Testbed& tb = enforcing ? *enforcing : shared_testbed();
     for (const std::optional<std::uint8_t> max_len :

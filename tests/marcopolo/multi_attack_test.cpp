@@ -101,11 +101,9 @@ TEST(MultiAttackCampaign, OtcDeploymentBitesLeaksButNotOriginHijacks) {
   // Two testbeds differing only in OTC deployment: the equally-specific
   // plane must not change at all (valley-free routes never trip RFC 9234),
   // while the route-leak plane must lose hijacks.
-  TestbedConfig plain_cfg = small_testbed_config();
-  const Testbed plain(plain_cfg);
-  TestbedConfig otc_cfg = small_testbed_config();
-  otc_cfg.otc_fraction = 1.0;
-  const Testbed otc(otc_cfg);
+  const Testbed plain(small_testbed_config());
+  Testbed otc(small_testbed_config());
+  otc.internet().deploy_otc(1.0, topo::kDefaultOtcSeed);
 
   FastCampaignConfig run;
   run.attacks = {bgp::AttackType::EquallySpecific, bgp::AttackType::RouteLeak};

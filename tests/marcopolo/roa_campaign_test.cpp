@@ -24,9 +24,10 @@ TEST(VictimPrefix, DistinctPerVictimAndCanonical) {
 class RoaCampaign : public ::testing::Test {
  protected:
   RoaCampaign() {
-    core::TestbedConfig tb_cfg = testing_support::small_testbed_config();
-    tb_cfg.rov_fraction = 1.0;  // every transit AS enforces
-    testbed_ = std::make_unique<Testbed>(tb_cfg);
+    testbed_ =
+        std::make_unique<Testbed>(testing_support::small_testbed_config());
+    // Every transit AS enforces.
+    testbed_->internet().deploy_rov(1.0, topo::kDefaultRovSeed);
 
     FastCampaignConfig proto;
     proto.per_victim_prefix = true;
@@ -69,9 +70,8 @@ TEST_F(RoaCampaign, FullRovEliminatesPlainHijacks) {
 }
 
 TEST_F(RoaCampaign, CloudEdgeRovAloneProtectsPerspectives) {
-  core::TestbedConfig tb_cfg = testing_support::small_testbed_config();
-  tb_cfg.rov_fraction = 0.0;  // no transit filtering at all
-  Testbed lax_testbed(tb_cfg);
+  // No transit filtering at all.
+  const Testbed lax_testbed(testing_support::small_testbed_config());
 
   FastCampaignConfig cfg;
   cfg.per_victim_prefix = true;

@@ -3,12 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 
+#include "bgp/attack_model.hpp"
+#include "store_bytes.hpp"
 #include "testbed_fixture.hpp"
 
 namespace marcopolo::core {
 namespace {
 
+using testing_support::mprs_bytes;
+using testing_support::same_bytes;
 using testing_support::shared_testbed;
 
 TEST(Testbed, PaperPopulation) {
@@ -70,14 +75,61 @@ TEST(Testbed, PerspectiveOutcomeMatchesCloudModel) {
 }
 
 TEST(Testbed, RovDeploymentFlag) {
-  TestbedConfig cfg = testing_support::small_testbed_config();
-  cfg.rov_fraction = 0.8;
-  const Testbed tb(cfg);
+  Testbed tb(testing_support::small_testbed_config());
+  tb.internet().deploy_rov(0.8, topo::kDefaultRovSeed);
   std::size_t enforcing = 0;
   for (std::uint32_t i = 0; i < tb.internet().graph().size(); ++i) {
     if (tb.internet().graph().rov_enforcing(bgp::NodeId{i})) ++enforcing;
   }
   EXPECT_GT(enforcing, 0u);
+}
+
+TEST(Testbed, RedeployingMatchesAFreshBuild) {
+  // One testbed walked through deployments that go up and back down must
+  // match a testbed built fresh at each point: the same ROV and OTC flag
+  // on every AS, and the same store bytes from an all-attacks campaign.
+  // Per-victim ROAs with the cloud edge filter off let transit ROV decide
+  // outcomes.
+  Testbed redeployed(testing_support::small_testbed_config());
+  FastCampaignConfig cfg;
+  const auto all = bgp::all_attack_types();
+  cfg.attacks.assign(all.begin(), all.end());
+  cfg.per_victim_prefix = true;
+  cfg.cloud_edge_rov = false;
+  bgp::RoaRegistry roas;
+  for (std::size_t v = 0; v < redeployed.sites().size(); ++v) {
+    roas.add(bgp::Roa{
+        cfg.victim_prefix(v),
+        redeployed.internet().graph().asn_of(redeployed.sites()[v].node),
+        std::nullopt});
+  }
+  cfg.roas = &roas;
+
+  const std::pair<double, double> sequence[] = {
+      {1.0, 1.0}, {0.5, 0.0}, {0.0, 0.5}, {0.5, 1.0}, {0.0, 0.0}};
+  for (const auto& [rov, otc] : sequence) {
+    SCOPED_TRACE(::testing::Message() << "rov " << rov << ", otc " << otc);
+    redeployed.internet().deploy_rov(rov, topo::kDefaultRovSeed);
+    redeployed.internet().deploy_otc(otc, topo::kDefaultOtcSeed);
+    Testbed fresh(testing_support::small_testbed_config());
+    fresh.internet().deploy_rov(rov, topo::kDefaultRovSeed);
+    fresh.internet().deploy_otc(otc, topo::kDefaultOtcSeed);
+
+    const bgp::AsGraph& a = redeployed.internet().graph();
+    const bgp::AsGraph& b = fresh.internet().graph();
+    ASSERT_EQ(a.size(), b.size());
+    std::size_t flag_mismatches = 0;
+    for (std::uint32_t i = 0; i < a.size(); ++i) {
+      const bgp::NodeId n{i};
+      if (a.rov_enforcing(n) != b.rov_enforcing(n) ||
+          a.otc_enforcing(n) != b.otc_enforcing(n)) {
+        ++flag_mismatches;
+      }
+    }
+    EXPECT_EQ(flag_mismatches, 0U);
+    EXPECT_TRUE(same_bytes(mprs_bytes(run_fast_campaign(redeployed, cfg)),
+                           mprs_bytes(run_fast_campaign(fresh, cfg))));
+  }
 }
 
 TEST(Testbed, SitesCarryCatalogMetadata) {
