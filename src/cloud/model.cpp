@@ -393,23 +393,20 @@ void CloudProviderModel::select_all(std::span<const bgp::RouteCandidate> rib,
 
 namespace {
 
-/// Convert a live speaker RIB snapshot into engine-style candidates,
-/// resolving each entry's ingress POP from the backbone's link metadata.
+/// Convert a live speaker RIB snapshot into engine-style candidates: one
+/// per backbone link to the entry's neighbor, each at that link's ingress
+/// POP, as the analytic engine delivers a route once per parallel link.
 std::vector<bgp::RouteCandidate> live_candidates(
     const bgp::AsGraph& graph, bgp::NodeId backbone,
     const std::vector<bgpd::RibInEntry>& rib) {
   std::vector<bgp::RouteCandidate> out;
   out.reserve(rib.size());
   for (const bgpd::RibInEntry& entry : rib) {
-    bgp::PopId ingress{};
     for (const bgp::Neighbor& nb : graph.neighbors(backbone)) {
-      if (nb.id == entry.from) {
-        ingress = nb.local_pop;
-        break;
-      }
+      if (nb.id != entry.from) continue;
+      out.push_back(bgp::RouteCandidate{entry.route, entry.source, entry.from,
+                                        entry.from_asn, nb.local_pop});
     }
-    out.push_back(bgp::RouteCandidate{entry.route, entry.source, entry.from,
-                                      entry.from_asn, ingress});
   }
   return out;
 }
