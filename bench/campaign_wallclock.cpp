@@ -341,14 +341,14 @@ int main(int argc, char** argv) {
     manifest.set("optimizer.scalar_agrees", agree);
   }
 
-  // Resilience-kernel phase: the direct packed-word kernel in isolation —
+  // Resilience-kernel phase: the packed-word scoring kernel in isolation —
   // build_success_mask + score over sliding 6-windows of the GCP pool at
   // every quorum from 6-0 to 6-5, repeated to a stable ~100ms. This is
   // the innermost loop every ROADMAP SIMD item targets (a fixed
   // instruction stream, no allocation, no propagation). The checksum both
   // defeats dead-code elimination and doubles as a determinism check.
   if (select.resilience) {
-    std::cerr << "resilience direct kernel sweep..." << std::endl;
+    std::cerr << "resilience kernel sweep..." << std::endl;
     analysis::ResilienceAnalyzer::ScoreScratch scratch =
         analyzer->make_scratch();
     constexpr std::size_t kWindow = 6;

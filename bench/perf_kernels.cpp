@@ -93,12 +93,11 @@ BENCHMARK(BM_FastCampaign)
 
 void BM_ResilienceScore(benchmark::State& state) {
   analysis::ResilienceAnalyzer analyzer(shared_store());
-  auto ws = analyzer.make_workspace();
-  for (core::PerspectiveIndex p = 0; p < 6; ++p) {
-    analyzer.add_perspective(ws, p);
-  }
+  auto scratch = analyzer.make_scratch();
+  const std::vector<core::PerspectiveIndex> set = {0, 1, 2, 3, 4, 5};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analyzer.score(ws, 4, std::nullopt));
+    benchmark::DoNotOptimize(
+        analyzer.score_set(set, 4, std::nullopt, scratch));
   }
 }
 BENCHMARK(BM_ResilienceScore)->Unit(benchmark::kMicrosecond);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <cassert>
 #include <queue>
 #include <set>
 #include <stdexcept>
@@ -97,11 +96,6 @@ mpic::DeploymentSpec make_spec(const OptimizerConfig& cfg,
 
 }  // namespace
 
-ResilienceAnalyzer::Workspace& DeploymentOptimizer::workspace() const {
-  if (ws_.counts.empty()) ws_ = analyzer_.make_workspace();
-  return ws_;
-}
-
 ResilienceAnalyzer::ScoreScratch& DeploymentOptimizer::scratch() const {
   if (scratch_.mask.empty()) scratch_ = analyzer_.make_scratch();
   return scratch_;
@@ -112,13 +106,6 @@ std::vector<RankedDeployment> DeploymentOptimizer::search_exhaustive(
   const auto& cands = cfg.candidates;
   const std::size_t k = cfg.set_size;
   const std::size_t required = k - cfg.max_failures;
-  // Per-level kernel rule: sets up to the threshold go through the direct
-  // packed kernel (score straight from `chosen`, no counters); deeper
-  // levels need the incremental workspace, which is then maintained on
-  // every tree edge. When the whole search fits the direct kernel the
-  // workspace (and its O(pairs) add/remove per edge) disappears entirely.
-  const std::size_t direct_max = cfg.direct_kernel_max_set;
-  const bool maintain_counts = k > direct_max;
 
   // One worker explores all combinations whose FIRST element index is in
   // its share; the DFS below each first element is independent, so workers
@@ -136,9 +123,6 @@ std::vector<RankedDeployment> DeploymentOptimizer::search_exhaustive(
     // null/unavailable) so search CPU attributes to the scoring kernels.
     obs::ProfiledThread profiled(cfg.observers.profiler);
     // Allocated once per worker and reused across every stolen subtree.
-    ResilienceAnalyzer::Workspace ws =
-        maintain_counts ? analyzer_.make_workspace()
-                        : ResilienceAnalyzer::Workspace{};
     ResilienceAnalyzer::ScoreScratch sc = analyzer_.make_scratch();
     std::vector<PerspectiveIndex> chosen;
     chosen.reserve(k);
@@ -147,10 +131,7 @@ std::vector<RankedDeployment> DeploymentOptimizer::search_exhaustive(
     SearchStats& st = stats[t];
 
     const auto node_score = [&]() {
-      if (chosen.size() <= direct_max) {
-        return analyzer_.score_set(chosen, required, std::nullopt, sc);
-      }
-      return analyzer_.score(ws, required, std::nullopt);
+      return analyzer_.score_set(chosen, required, std::nullopt, sc);
     };
 
     auto dfs = [&](auto&& self, std::size_t next) -> void {
@@ -179,9 +160,7 @@ std::vector<RankedDeployment> DeploymentOptimizer::search_exhaustive(
           ++rir_counts[rir];
         }
         chosen.push_back(cands[i]);
-        if (maintain_counts) analyzer_.add_perspective(ws, cands[i]);
         self(self, i + 1);
-        if (maintain_counts) analyzer_.remove_perspective(ws, cands[i]);
         chosen.pop_back();
         if (cfg.max_per_rir > 0) --rir_counts[rir];
       }
@@ -198,14 +177,9 @@ std::vector<RankedDeployment> DeploymentOptimizer::search_exhaustive(
         ++rir_counts[rir];
       }
       chosen.push_back(cands[first]);
-      if (maintain_counts) analyzer_.add_perspective(ws, cands[first]);
       dfs(dfs, first + 1);
-      if (maintain_counts) analyzer_.remove_perspective(ws, cands[first]);
       chosen.pop_back();
       if (cfg.max_per_rir > 0) --rir_counts[rir];
-      // The balanced add/remove walk above must leave no residue; a
-      // corrupted workspace would silently skew every later subtree.
-      assert(!maintain_counts || ResilienceAnalyzer::is_zero(ws));
     }
   };
 
@@ -327,22 +301,10 @@ std::vector<RankedDeployment> DeploymentOptimizer::search_beam(
   std::sort(finals.begin(), finals.end(),
             [](const Final& a, const Final& b) { return b.score < a.score; });
 
-  // The swap refinement walks the incremental workspace; one hoisted
-  // workspace serves every refined survivor — each climb is entered by
-  // adding the set's perspectives and exited by removing them, so the
-  // counts return to zero between seeds instead of being reallocated.
   const std::size_t refine = std::min(cfg.refine_top, finals.size());
-  ResilienceAnalyzer::Workspace& ws = workspace();
   for (std::size_t f = 0; f < refine; ++f) {
     auto& current = finals[f];
-    for (const PerspectiveIndex p : current.set) {
-      analyzer_.add_perspective(ws, p);
-    }
-    climb(current.set, current.score, ws, cfg, final_required);
-    for (const PerspectiveIndex p : current.set) {
-      analyzer_.remove_perspective(ws, p);
-    }
-    assert(ResilienceAnalyzer::is_zero(ws));
+    climb(current.set, current.score, cfg, final_required);
     std::sort(current.set.begin(), current.set.end());
   }
   std::sort(finals.begin(), finals.end(),
@@ -366,9 +328,9 @@ std::vector<RankedDeployment> DeploymentOptimizer::search_beam(
 
 void DeploymentOptimizer::climb(std::vector<PerspectiveIndex>& set,
                                 ResilienceAnalyzer::Score& score,
-                                ResilienceAnalyzer::Workspace& ws,
                                 const OptimizerConfig& cfg,
                                 std::size_t required) const {
+  ResilienceAnalyzer::ScoreScratch& sc = scratch();
   std::uint64_t swaps_tried = 0;
   std::uint64_t swaps_kept = 0;
   bool improved = true;
@@ -376,7 +338,6 @@ void DeploymentOptimizer::climb(std::vector<PerspectiveIndex>& set,
     improved = false;
     for (std::size_t m = 0; m < set.size() && !improved; ++m) {
       const PerspectiveIndex out_p = set[m];
-      analyzer_.remove_perspective(ws, out_p);
       for (const PerspectiveIndex c : cfg.candidates) {
         if (std::find(set.begin(), set.end(), c) != set.end()) continue;
         if (cfg.max_per_rir > 0) {
@@ -386,20 +347,20 @@ void DeploymentOptimizer::climb(std::vector<PerspectiveIndex>& set,
           }
           if (same > cfg.max_per_rir) continue;
         }
-        analyzer_.add_perspective(ws, c);
+        // Swap in place, score the whole set, and swap back unless the
+        // swap is a strict improvement.
+        set[m] = c;
         ++swaps_tried;
-        const auto candidate_score = analyzer_.score(ws, required,
-                                                     std::nullopt);
+        const auto candidate_score =
+            analyzer_.score_set(set, required, std::nullopt, sc);
         if (score < candidate_score) {
-          set[m] = c;
           score = candidate_score;
           improved = true;
           ++swaps_kept;
           break;
         }
-        analyzer_.remove_perspective(ws, c);
+        set[m] = out_p;
       }
-      if (!improved) analyzer_.add_perspective(ws, out_p);
     }
   }
   if (obs::MetricsRegistry* metrics = cfg.observers.metrics) {
@@ -413,14 +374,10 @@ RankedDeployment DeploymentOptimizer::hill_climb(
   if (seed.size() != cfg.set_size) {
     throw std::invalid_argument("seed size != config set_size");
   }
-  ResilienceAnalyzer::Workspace& ws = workspace();
-  for (const PerspectiveIndex p : seed) analyzer_.add_perspective(ws, p);
   const std::size_t required = cfg.set_size - cfg.max_failures;
   ResilienceAnalyzer::Score score =
-      analyzer_.score(ws, required, std::nullopt);
-  climb(seed, score, ws, cfg, required);
-  for (const PerspectiveIndex p : seed) analyzer_.remove_perspective(ws, p);
-  assert(ResilienceAnalyzer::is_zero(ws));
+      analyzer_.score_set(seed, required, std::nullopt, scratch());
+  climb(seed, score, cfg, required);
   std::sort(seed.begin(), seed.end());
   return RankedDeployment{make_spec(cfg, std::move(seed), std::nullopt, 0),
                           score};

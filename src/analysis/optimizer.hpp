@@ -4,15 +4,16 @@
 // highest median resilience under an N-Y quorum, breaking median ties by
 // average resilience. Two strategies:
 //
-//   Exhaustive: depth-first walk of all C(n, X) candidate combinations.
-//   Small sets (<= OptimizerConfig::direct_kernel_max_set) are scored with
-//   the direct packed-word kernel (AND/OR/bit-sliced reductions over the
-//   OutcomeMatrix, no per-pair counters); deeper walks fall back to
-//   incremental per-pair count updates unpacked from the same matrix. This
-//   is what produces the paper's optimal deployments and top-150 lists.
+//   Exhaustive: depth-first walk of all C(n, X) candidate combinations,
+//   scoring each node's set whole with ResilienceAnalyzer::score_set
+//   (AND/OR/bit-sliced reductions over the OutcomeMatrix, no per-pair
+//   counters). This is what produces the paper's optimal deployments and
+//   top-150 lists.
 //
 //   Beam: greedy beam search for large candidate pools; approximate but
-//   orders of magnitude cheaper. Used for cross-provider sweeps.
+//   orders of magnitude cheaper. Used for cross-provider sweeps. Its best
+//   survivors, like hill_climb's seed, are refined by single swaps, each
+//   swapped set scored with score_set as well.
 //
 // With a primary perspective, the optimizer ranks the top `primary_pool`
 // remote sets from the no-primary search and then tries every allowed
@@ -75,13 +76,6 @@ struct OptimizerConfig {
   /// count: the search space is partitioned by first element and the
   /// per-thread top-k sets are merged deterministically.
   std::size_t threads = 0;
-  /// Kernel selection for the exhaustive DFS: sets of at most this many
-  /// perspectives are scored with the direct word-reduction kernel
-  /// (OutcomeMatrix::success_mask — no per-pair counters); larger sets go
-  /// through the incremental count workspace. Both kernels produce
-  /// bit-identical scores, so this knob only moves work around; 0 forces
-  /// the incremental path everywhere (useful for differential tests).
-  std::size_t direct_kernel_max_set = 16;
   std::vector<topo::Rir> rir_of;
   std::string name_prefix = "opt";
   /// If non-null, the exhaustive search accumulates instrumentation here
@@ -93,12 +87,11 @@ struct OptimizerConfig {
   obs::Observers observers;
 };
 
-/// Not thread-safe: the optimizer owns reusable scoring scratch (a count
-/// workspace and a success-mask buffer, hoisted so beam restarts,
-/// hill-climb seeds, and primary attachment never reallocate them), so
-/// concurrent optimize()/hill_climb() calls need one DeploymentOptimizer
-/// each. The exhaustive search's worker threads carry their own
-/// per-thread state and are unaffected.
+/// Not thread-safe: the optimizer owns one reusable ScoreScratch (hoisted
+/// so beam search, swap refinement, hill-climb seeds and primary
+/// attachment never reallocate it), so concurrent optimize()/hill_climb()
+/// calls need one DeploymentOptimizer each. The exhaustive search's worker
+/// threads score on scratch of their own and are unaffected.
 class DeploymentOptimizer {
  public:
   explicit DeploymentOptimizer(const ResilienceAnalyzer& analyzer)
@@ -128,18 +121,16 @@ class DeploymentOptimizer {
   [[nodiscard]] std::vector<RankedDeployment> attach_primaries(
       const OptimizerConfig& config,
       std::vector<RankedDeployment> remote_sets) const;
-  /// Swap hill-climbing on (set, score) with ws holding the set's counts.
+  /// Swap hill-climbing on (set, score): swaps in place until no single
+  /// (member, non-member) swap scores strictly better.
   void climb(std::vector<PerspectiveIndex>& set,
-             ResilienceAnalyzer::Score& score,
-             ResilienceAnalyzer::Workspace& ws, const OptimizerConfig& config,
+             ResilienceAnalyzer::Score& score, const OptimizerConfig& config,
              std::size_t required) const;
   /// Hoisted per-optimizer scratch, lazily sized on first use and never
   /// reallocated afterwards.
-  [[nodiscard]] ResilienceAnalyzer::Workspace& workspace() const;
   [[nodiscard]] ResilienceAnalyzer::ScoreScratch& scratch() const;
 
   const ResilienceAnalyzer& analyzer_;
-  mutable ResilienceAnalyzer::Workspace ws_;
   mutable ResilienceAnalyzer::ScoreScratch scratch_;
 };
 

@@ -6,17 +6,16 @@
 
 namespace marcopolo::analysis {
 
-OutcomeMatrix::OutcomeMatrix(const core::ResultStore& store,
-                             std::size_t attack)
+OutcomeMatrix::OutcomeMatrix(const core::ResultStore& store)
     : num_sites_(store.num_sites()),
       num_perspectives_(store.num_perspectives()),
       words_per_row_(store.words_per_row()),
       words_(words_per_row_ * num_perspectives_),
       attackable_(words_per_row_, 0) {
   for (std::size_t p = 0; p < num_perspectives_; ++p) {
-    const auto src =
-        store.hijack_words(attack, static_cast<core::PerspectiveIndex>(p));
-    std::copy(src.begin(), src.end(), words_.data() + p * words_per_row_);
+    store.pack_hijacked_row(
+        static_cast<core::PerspectiveIndex>(p),
+        {words_.data() + p * words_per_row_, words_per_row_});
   }
   for (std::size_t pair = 0; pair < num_pairs(); ++pair) {
     if (pair / num_sites_ == pair % num_sites_) continue;  // diagonal

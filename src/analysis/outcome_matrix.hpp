@@ -7,8 +7,9 @@
 // >= num_pairs() in a row's tail word are always zero (the tail-mask
 // invariant), so whole-word reductions never see garbage.
 //
-// Built once from a completed ResultStore (a snapshot — later record()
-// calls on the store are not reflected), the matrix serves two kernels:
+// Built once from a completed ResultStore: the constructor packs the
+// store's outcome bytes into these rows (a snapshot — later record() calls
+// on the store are not reflected). The matrix serves two kernels:
 //
 //   * success_mask(): for a perspective set S and quorum threshold
 //     `required`, compute the bit mask of pairs where the attack succeeds
@@ -35,12 +36,9 @@ namespace marcopolo::analysis {
 class OutcomeMatrix {
  public:
   /// Snapshot of the store's first attack plane (the whole store for a
-  /// single-attack campaign).
-  explicit OutcomeMatrix(const core::ResultStore& store)
-      : OutcomeMatrix(store, 0) {}
-  /// Snapshot of one attack plane of a multi-attack store; throws
-  /// std::out_of_range past num_attacks().
-  OutcomeMatrix(const core::ResultStore& store, std::size_t attack);
+  /// single-attack campaign; analyze another plane through
+  /// ResultStore::extract_attack).
+  explicit OutcomeMatrix(const core::ResultStore& store);
 
   [[nodiscard]] std::size_t num_sites() const { return num_sites_; }
   [[nodiscard]] std::size_t num_perspectives() const {

@@ -82,68 +82,6 @@ ResilienceSummary ResilienceAnalyzer::evaluate(
   return summarize(per_victim_resilience(spec));
 }
 
-void ResilienceAnalyzer::add_perspective(Workspace& ws,
-                                         PerspectiveIndex p) const {
-  const auto row = matrix_.row(p);
-  std::uint16_t* counts = ws.counts.data();
-  for (std::size_t w = 0; w < row.size(); ++w) {
-    const std::uint64_t bits = row[w];
-    std::uint16_t* chunk = counts + w * 64;
-    for (unsigned j = 0; j < 64; ++j) {
-      chunk[j] = static_cast<std::uint16_t>(chunk[j] + ((bits >> j) & 1));
-    }
-  }
-}
-
-void ResilienceAnalyzer::remove_perspective(Workspace& ws,
-                                            PerspectiveIndex p) const {
-  const auto row = matrix_.row(p);
-  std::uint16_t* counts = ws.counts.data();
-  for (std::size_t w = 0; w < row.size(); ++w) {
-    const std::uint64_t bits = row[w];
-    std::uint16_t* chunk = counts + w * 64;
-    for (unsigned j = 0; j < 64; ++j) {
-      chunk[j] = static_cast<std::uint16_t>(chunk[j] - ((bits >> j) & 1));
-    }
-  }
-}
-
-bool ResilienceAnalyzer::is_zero(const Workspace& ws) {
-  return std::all_of(ws.counts.begin(), ws.counts.end(),
-                     [](std::uint16_t c) { return c == 0; });
-}
-
-ResilienceAnalyzer::Score ResilienceAnalyzer::score(
-    const Workspace& ws, std::size_t required,
-    std::optional<PerspectiveIndex> primary) const {
-  const std::size_t n = store_.num_sites();
-  const std::uint64_t* primary_row =
-      primary ? matrix_.row(*primary).data() : nullptr;
-
-  // Per-victim resilience values; kept on the stack-ish small vector.
-  std::vector<double> per_victim(n);
-  double sum = 0.0;
-  for (std::size_t v = 0; v < n; ++v) {
-    std::size_t defended = 0;
-    const std::size_t row = v * n;
-    for (std::size_t a = 0; a < n; ++a) {
-      if (a == v) continue;
-      const std::size_t idx = row + a;
-      const bool attack_ok =
-          ws.counts[idx] >= required &&
-          (primary_row == nullptr ||
-           ((primary_row[idx / 64] >> (idx % 64)) & 1) != 0);
-      if (!attack_ok) ++defended;
-    }
-    per_victim[v] = resilience_of_[defended];
-    sum += per_victim[v];
-  }
-  Score s;
-  s.average = sum / static_cast<double>(n);
-  s.median = median_of(std::move(per_victim));
-  return s;
-}
-
 ResilienceAnalyzer::ScoreScratch ResilienceAnalyzer::make_scratch() const {
   ScoreScratch scratch;
   scratch.mask.resize(matrix_.words_per_row());

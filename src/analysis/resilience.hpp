@@ -8,17 +8,13 @@
 // Primary perspectives (§5.1) are an additional conjunct: an attack only
 // succeeds if the primary is also hijacked.
 //
-// All kernels run on the packed OutcomeMatrix (see outcome_matrix.hpp),
-// snapshotted from the store at construction. Two paths exist:
-//
-//   * the incremental Workspace (running per-pair hijack counts, updated
-//     by unpacking packed words) for deep DFS walks where sets change by
-//     one perspective per step, and
-//   * the direct path (ScoreScratch + success_mask) that scores a whole
-//     set with word-level AND/OR/bit-sliced reductions and popcounts,
-//     skipping per-pair counters entirely.
-//
-// Both produce bit-identical scores; DESIGN.md §10 has the selection rule.
+// Every score runs one kernel on the packed OutcomeMatrix (see
+// outcome_matrix.hpp), packed from the store at construction:
+// build_success_mask reduces a whole set's rows to the attack-success
+// mask with word-level AND/OR/bit-sliced operations (no per-pair
+// counters), and score_from_mask takes per-victim popcounts of it.
+// Exhaustive and beam search, swap hill climbing and primary attachment
+// all score this way; DESIGN.md §10 has the layout.
 #pragma once
 
 #include <optional>
@@ -76,28 +72,7 @@ class ResilienceAnalyzer {
   [[nodiscard]] ResilienceSummary evaluate(
       const mpic::DeploymentSpec& spec) const;
 
-  // ---- Incremental kernel (optimizer deep-walk path) ----
-
-  struct Workspace {
-    /// hijacked-count per ordered pair for the current candidate set.
-    /// 16-bit: a deployment can legitimately contain every perspective
-    /// (PerspectiveIndex is 16-bit), and an 8-bit counter silently wraps
-    /// past 255 perspectives, corrupting every score downstream.
-    /// Padded to words_per_row * 64 entries so add/remove can unpack
-    /// whole 64-bit words without a tail branch.
-    std::vector<std::uint16_t> counts;
-  };
-
-  [[nodiscard]] Workspace make_workspace() const {
-    return Workspace{
-        std::vector<std::uint16_t>(matrix_.words_per_row() * 64, 0)};
-  }
-  void add_perspective(Workspace& ws, PerspectiveIndex p) const;
-  void remove_perspective(Workspace& ws, PerspectiveIndex p) const;
-  /// True when every count is zero — the state a balanced add/remove walk
-  /// must return the workspace to (debug-asserted by the optimizer).
-  [[nodiscard]] static bool is_zero(const Workspace& ws);
-
+  /// What a deployment search ranks: R_med and R_avg of one set.
   struct Score {
     double median = 0.0;
     double average = 0.0;
@@ -110,16 +85,9 @@ class ResilienceAnalyzer {
                                          const Score& b) = default;
   };
 
-  /// Score the workspace's current set under quorum `required` (= X - Y),
-  /// optionally conditioning on a primary perspective.
-  [[nodiscard]] Score score(const Workspace& ws, std::size_t required,
-                            std::optional<PerspectiveIndex> primary) const;
-
-  // ---- Direct kernel (whole-set word reductions, no counters) ----
-
-  /// Reusable scratch for the direct path. Allocate once (make_scratch),
-  /// reuse across any number of build/score calls — nothing in it persists
-  /// between calls except capacity.
+  /// Reusable scoring scratch. Allocate once (make_scratch), reuse across
+  /// any number of build/score calls — nothing in it persists between
+  /// calls except capacity.
   struct ScoreScratch {
     std::vector<std::uint64_t> mask;    ///< success mask, words_per_row
     std::vector<std::uint64_t> masked;  ///< mask ∧ primary row
@@ -144,7 +112,9 @@ class ResilienceAnalyzer {
   [[nodiscard]] Score score_from_mask(
       ScoreScratch& scratch, std::optional<PerspectiveIndex> primary) const;
 
-  /// build_success_mask + score_from_mask in one call.
+  /// build_success_mask + score_from_mask in one call: the score of `set`
+  /// under quorum `required` (= X - Y), optionally conditioning on a
+  /// primary perspective.
   [[nodiscard]] Score score_set(std::span<const PerspectiveIndex> set,
                                 std::size_t required,
                                 std::optional<PerspectiveIndex> primary,

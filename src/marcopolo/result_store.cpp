@@ -56,11 +56,9 @@ ResultStore::ResultStore(std::size_t num_sites, std::size_t num_perspectives,
     : num_sites_(checked_dim(num_sites, kMaxSites, "sites")),
       num_perspectives_(
           checked_dim(num_perspectives, kMaxPerspectives, "perspectives")),
-      words_per_row_((num_sites * num_sites + 63) / 64),
       attacks_(std::move(attacks)),
       outcomes_(num_sites * num_sites * num_perspectives * attacks_.size(),
-                kUnrecorded),
-      hijack_words_(words_per_row_ * num_perspectives * attacks_.size(), 0) {
+                kUnrecorded) {
   if (attacks_.empty()) {
     throw std::invalid_argument("ResultStore needs at least one attack type");
   }
@@ -100,13 +98,13 @@ std::size_t ResultStore::hijacked_count(
     std::size_t attack, SiteIndex victim, SiteIndex adversary,
     std::span<const PerspectiveIndex> set) const {
   if (attack >= attacks_.size()) throw std::out_of_range("attack index");
-  const std::size_t pair = pair_index(victim, adversary);
-  const std::size_t word = pair / 64;
-  const std::uint64_t mask = std::uint64_t{1} << (pair % 64);
-  const std::size_t base = attack * num_perspectives_ * words_per_row_;
+  const std::uint8_t* cell = outcomes_.data() +
+                             attack * num_perspectives_ * num_pairs() +
+                             pair_index(victim, adversary);
   std::size_t count = 0;
   for (const PerspectiveIndex p : set) {
-    count += (hijack_words_[base + p * words_per_row_ + word] & mask) != 0;
+    count += cell[p * num_pairs()] ==
+             static_cast<std::uint8_t>(bgp::OriginReached::Adversary);
   }
   return count;
 }
@@ -123,14 +121,22 @@ bool ResultStore::pair_complete(std::size_t attack, SiteIndex victim,
   return true;
 }
 
-std::span<const std::uint64_t> ResultStore::hijack_words(
-    std::size_t attack, PerspectiveIndex p) const {
-  if (attack >= attacks_.size()) throw std::out_of_range("attack index");
+void ResultStore::pack_hijacked_row(PerspectiveIndex p,
+                                    std::span<std::uint64_t> words) const {
   if (p >= num_perspectives_) throw std::out_of_range("perspective index");
-  return {hijack_words_.data() +
-              (attack * num_perspectives_ + static_cast<std::size_t>(p)) *
-                  words_per_row_,
-          words_per_row_};
+  const std::size_t pairs = num_pairs();
+  const std::uint8_t* row = outcomes_.data() + p * pairs;
+  constexpr auto kHijacked =
+      static_cast<std::uint8_t>(bgp::OriginReached::Adversary);
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    const std::size_t begin = w * 64;
+    const std::size_t end = std::min(pairs, begin + 64);
+    std::uint64_t bits = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      bits |= std::uint64_t{row[i] == kHijacked} << (i - begin);
+    }
+    words[w] = bits;
+  }
 }
 
 ResultStore ResultStore::extract_attack(std::size_t attack) const {
@@ -140,10 +146,6 @@ ResultStore ResultStore::extract_attack(std::size_t attack) const {
   std::copy_n(outcomes_.begin() +
                   static_cast<std::ptrdiff_t>(attack * cells),
               cells, plane.outcomes_.begin());
-  const std::size_t words = num_perspectives_ * words_per_row_;
-  std::copy_n(hijack_words_.begin() +
-                  static_cast<std::ptrdiff_t>(attack * words),
-              words, plane.hijack_words_.begin());
   return plane;
 }
 

@@ -13,15 +13,12 @@
 // degenerate bundle, and the attack-less accessors read plane 0, so
 // pre-multi-attack call sites keep working unchanged.
 //
-// Alongside each byte-per-cell outcome plane the store maintains the
-// packed hijack plane: one bit per ordered (victim, adversary) pair,
-// perspective-major, 64 pairs per word, tail bits of the last word always
-// zero. The analysis layer's OutcomeMatrix is built from these rows;
-// nothing outside the store consumes a byte-per-pair hijack vector
-// anymore.
+// Each outcome is held once, as one byte per cell. The analysis layer's
+// OutcomeMatrix packs its one-bit-per-pair hijack rows from these bytes
+// when it is built (pack_hijacked_row); the store itself keeps no packed
+// copy.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <limits>
@@ -85,7 +82,9 @@ class ResultStore {
     return static_cast<std::size_t>(victim) * num_sites_ + adversary;
   }
   /// 64-bit words per packed hijack row, ceil(num_pairs / 64).
-  [[nodiscard]] std::size_t words_per_row() const { return words_per_row_; }
+  [[nodiscard]] std::size_t words_per_row() const {
+    return (num_pairs() + 63) / 64;
+  }
 
   void record(SiteIndex victim, SiteIndex adversary, PerspectiveIndex p,
               bgp::OriginReached outcome) {
@@ -94,14 +93,13 @@ class ResultStore {
   void record(std::size_t attack, SiteIndex victim, SiteIndex adversary,
               PerspectiveIndex p, bgp::OriginReached outcome);
 
-  /// Lock-free variant for parallel campaign writers: no bounds check
-  /// beyond an assert, no ordering. Safe if and only if concurrent callers
-  /// write disjoint (victim, adversary) cells — the campaign engine
-  /// partitions work by (announcer, adversary) task, and every
-  /// (victim, adversary) pair belongs to exactly one task (each worker
-  /// sweeps all attack planes of its own pairs). Disjoint cells may still
-  /// share a packed hijack word, so the bit update is a relaxed atomic
-  /// RMW; per-bit last-write-wins holds regardless of interleaving.
+  /// Unchecked variant for parallel campaign writers: no bounds check, no
+  /// lock, no ordering. Safe if and only if concurrent callers write
+  /// disjoint (victim, adversary) cells — the campaign engine partitions
+  /// work by (announcer, adversary) task, and every (victim, adversary)
+  /// pair belongs to exactly one task (each worker sweeps all attack
+  /// planes of its own pairs). Every cell is its own byte, so disjoint
+  /// cells are distinct memory locations and never race.
   void record_unsynchronized(SiteIndex victim, SiteIndex adversary,
                              PerspectiveIndex p, bgp::OriginReached outcome) {
     record_unsynchronized(0, victim, adversary, p, outcome);
@@ -109,18 +107,9 @@ class ResultStore {
   void record_unsynchronized(std::size_t attack, SiteIndex victim,
                              SiteIndex adversary, PerspectiveIndex p,
                              bgp::OriginReached outcome) {
-    const std::size_t pair = pair_index(victim, adversary);
-    outcomes_[(attack * num_perspectives_ + p) * num_pairs() + pair] =
+    outcomes_[(attack * num_perspectives_ + p) * num_pairs() +
+              pair_index(victim, adversary)] =
         static_cast<std::uint8_t>(outcome);
-    std::atomic_ref<std::uint64_t> word(
-        hijack_words_[(attack * num_perspectives_ + p) * words_per_row_ +
-                      pair / 64]);
-    const std::uint64_t mask = std::uint64_t{1} << (pair % 64);
-    if (outcome == bgp::OriginReached::Adversary) {
-      word.fetch_or(mask, std::memory_order_relaxed);
-    } else {
-      word.fetch_and(~mask, std::memory_order_relaxed);
-    }
   }
 
   [[nodiscard]] bgp::OriginReached outcome(SiteIndex victim,
@@ -164,29 +153,19 @@ class ResultStore {
   [[nodiscard]] bool pair_complete(std::size_t attack, SiteIndex victim,
                                    SiteIndex adversary) const;
 
-  /// One perspective's packed hijack row within one attack plane: bit
-  /// pair_index(v, a) is 1 iff the perspective was hijacked for that pair.
-  /// words_per_row() words; bits >= num_pairs() in the tail word are
-  /// always zero.
-  [[nodiscard]] std::span<const std::uint64_t> hijack_words(
-      PerspectiveIndex p) const {
-    return hijack_words(0, p);
-  }
-  [[nodiscard]] std::span<const std::uint64_t> hijack_words(
-      std::size_t attack, PerspectiveIndex p) const;
+  /// Packs perspective p's row of plane 0 into `words` (words_per_row()
+  /// of them): bit pair_index(v, a) is 1 iff the cell records Adversary.
+  /// None and unrecorded cells pack to 0, and so do the tail bits at
+  /// positions >= num_pairs(). Throws std::out_of_range on a bad
+  /// perspective index.
+  void pack_hijacked_row(PerspectiveIndex p,
+                         std::span<std::uint64_t> words) const;
 
   /// Copy one attack plane out as a standalone single-attack store (its
   /// plane keeps the attack-type tag), so plane-at-a-time consumers — the
   /// resilience analyzer, plane-equality tests — run unchanged on
   /// multi-attack campaigns. Throws std::out_of_range on a bad index.
   [[nodiscard]] ResultStore extract_attack(std::size_t attack) const;
-
-  /// Bytes held by the packed hijack planes (the size-assertion hook: the
-  /// former byte-per-pair plane was num_perspectives * num_pairs bytes per
-  /// attack).
-  [[nodiscard]] std::size_t hijack_plane_bytes() const {
-    return hijack_words_.size() * sizeof(std::uint64_t);
-  }
 
   /// CSV export, write-only (the binary format below is the one this
   /// code reads back): a `# schema=2` comment, a `# attack_types=<csv>`
@@ -215,11 +194,8 @@ class ResultStore {
   static constexpr std::uint8_t kUnrecorded = 0xff;
   std::size_t num_sites_ = 0;
   std::size_t num_perspectives_ = 0;
-  std::size_t words_per_row_ = 0;
   std::vector<bgp::AttackType> attacks_;
   std::vector<std::uint8_t> outcomes_;  // OriginReached or kUnrecorded
-  // Packed 0/1 hijack planes kept in sync with outcomes_ by record().
-  std::vector<std::uint64_t> hijack_words_;
 };
 
 }  // namespace marcopolo::core

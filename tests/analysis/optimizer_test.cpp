@@ -248,30 +248,6 @@ TEST(Optimizer, ThreadCountDoesNotChangeResults) {
   }
 }
 
-TEST(Optimizer, DirectAndIncrementalKernelsRankIdentically) {
-  // direct_kernel_max_set = 0 forces the incremental count workspace on
-  // every node; the default scores small sets with the word-reduction
-  // kernel. Both must produce byte-identical rankings — same sets, same
-  // doubles — or the kernel-selection rule would change results.
-  DeploymentOptimizer optimizer(analyzer());
-  OptimizerConfig cfg;
-  cfg.set_size = 4;
-  cfg.max_failures = 1;
-  cfg.candidates = first_n_aws(12);
-  cfg.top_k = 25;
-
-  const auto direct = optimizer.optimize(cfg);
-  cfg.direct_kernel_max_set = 0;
-  const auto incremental = optimizer.optimize(cfg);
-
-  ASSERT_EQ(direct.size(), incremental.size());
-  for (std::size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_EQ(direct[i].spec.remotes, incremental[i].spec.remotes) << i;
-    EXPECT_EQ(direct[i].score.median, incremental[i].score.median) << i;
-    EXPECT_EQ(direct[i].score.average, incremental[i].score.average) << i;
-  }
-}
-
 TEST(Optimizer, UpperBoundPruningSkipsDominatedSubtrees) {
   // Three clean perspectives {0,1,2} are never hijacked; {3,4,5} are
   // hijacked on every pair. With required=1, any partial set touching a

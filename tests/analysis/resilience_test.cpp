@@ -5,6 +5,7 @@
 #include <numeric>
 #include <set>
 
+#include "analysis/scalar_reference.hpp"
 #include "netsim/random.hpp"
 #include "testbed_fixture.hpp"
 
@@ -136,35 +137,21 @@ TEST_F(HandComputedResilience, SinglePerspectiveDeployment) {
   EXPECT_DOUBLE_EQ(per_victim[2], 0.5);
 }
 
-TEST_F(HandComputedResilience, WorkspaceAddRemoveIsExact) {
-  const ResilienceAnalyzer analyzer(store);
-  auto ws = analyzer.make_workspace();
-  analyzer.add_perspective(ws, 0);
-  analyzer.add_perspective(ws, 1);
-  analyzer.add_perspective(ws, 2);
-  analyzer.remove_perspective(ws, 1);
-  // Equivalent to {0, 2}.
-  EXPECT_EQ(ws.counts[store.pair_index(1, 0)], 2u);
-  EXPECT_EQ(ws.counts[store.pair_index(0, 1)], 1u);
-  EXPECT_EQ(ws.counts[store.pair_index(0, 2)], 0u);
-}
-
 TEST_F(HandComputedResilience, ScoreMatchesEvaluate) {
   const ResilienceAnalyzer analyzer(store);
-  auto ws = analyzer.make_workspace();
-  analyzer.add_perspective(ws, 0);
-  analyzer.add_perspective(ws, 1);
-  analyzer.add_perspective(ws, 2);
-  const auto score = analyzer.score(ws, 3, std::nullopt);
+  auto scratch = analyzer.make_scratch();
+  const std::vector<core::PerspectiveIndex> set = {0, 1, 2};
+  const auto score = analyzer.score_set(set, 3, std::nullopt, scratch);
   const auto full = analyzer.evaluate(deployment({0, 1, 2}, 0));
   EXPECT_DOUBLE_EQ(score.median, full.median);
   EXPECT_DOUBLE_EQ(score.average, full.average);
 }
 
 TEST(ResilienceAnalyzer, CountsSurvivePastTwoHundredFiftyFivePerspectives) {
-  // Regression: the workspace counters were uint8_t and wrapped once a
-  // deployment exceeded 255 perspectives, silently turning a hijack count
-  // of 260 into 4 and inflating resilience for mega-deployments.
+  // Regression: per-pair hijack counters were once uint8_t and wrapped
+  // past 255 perspectives, silently turning a hijack count of 260 into 4
+  // and inflating resilience for mega-deployments. The scorer must count
+  // that high, against the scalar reference's 16-bit counters.
   core::ResultStore store(2, 300);
   for (core::PerspectiveIndex p = 0; p < 300; ++p) {
     store.record(0, 1, p,
@@ -173,36 +160,32 @@ TEST(ResilienceAnalyzer, CountsSurvivePastTwoHundredFiftyFivePerspectives) {
     store.record(1, 0, p, bgp::OriginReached::Victim);
   }
   const ResilienceAnalyzer analyzer(store);
+  const ScalarReference scalar(store);
 
-  auto ws = analyzer.make_workspace();
-  for (core::PerspectiveIndex p = 0; p < 260; ++p) {
-    analyzer.add_perspective(ws, p);
-  }
-  EXPECT_EQ(ws.counts[store.pair_index(0, 1)], 260u)
-      << "count must not wrap modulo 256";
-  EXPECT_EQ(ws.counts[store.pair_index(1, 0)], 0u);
+  std::vector<core::PerspectiveIndex> set(260);
+  std::iota(set.begin(), set.end(), core::PerspectiveIndex{0});
+  auto counts = scalar.make_counts();
+  for (const auto p : set) scalar.add(counts, p);
+  ASSERT_EQ(counts[store.pair_index(0, 1)], 260u);
 
   // Quorum (260, 258): adversary 1 captures 260 >= 258 perspectives, so
   // victim 0 is undefended (R=0); victim 1 is fully defended (R=1).
-  const auto kernel = analyzer.score(ws, 258, std::nullopt);
-  EXPECT_DOUBLE_EQ(kernel.median, 0.5);
-  EXPECT_DOUBLE_EQ(kernel.average, 0.5);
+  const auto expected = scalar.score(counts, 258, std::nullopt);
+  EXPECT_DOUBLE_EQ(expected.median, 0.5);
+  EXPECT_DOUBLE_EQ(expected.average, 0.5);
 
-  // The direct evaluation path shares the workspace and must agree.
+  auto scratch = analyzer.make_scratch();
+  const auto kernel = analyzer.score_set(set, 258, std::nullopt, scratch);
+  EXPECT_EQ(kernel.median, expected.median);
+  EXPECT_EQ(kernel.average, expected.average);
+
   mpic::DeploymentSpec spec;
   spec.name = "mega";
-  spec.remotes.resize(260);
-  std::iota(spec.remotes.begin(), spec.remotes.end(),
-            core::PerspectiveIndex{0});
+  spec.remotes = set;
   spec.policy = mpic::QuorumPolicy(260, 2, false);
   const auto direct = analyzer.evaluate(spec);
-  EXPECT_DOUBLE_EQ(direct.median, 0.5);
-
-  // Removal stays exact at high counts too.
-  for (core::PerspectiveIndex p = 250; p < 260; ++p) {
-    analyzer.remove_perspective(ws, p);
-  }
-  EXPECT_EQ(ws.counts[store.pair_index(0, 1)], 250u);
+  EXPECT_EQ(direct.median, expected.median);
+  EXPECT_EQ(direct.average, expected.average);
 }
 
 TEST(ResilienceAnalyzer, ScoreOrderingMedianThenAverage) {
@@ -212,8 +195,10 @@ TEST(ResilienceAnalyzer, ScoreOrderingMedianThenAverage) {
   EXPECT_FALSE((Score{0.5, 0.2}) < (Score{0.5, 0.2}));
 }
 
-// Property: the incremental kernel agrees with the direct evaluation for
-// random deployments on the real campaign dataset.
+// Property: the optimizer's scoring kernel (score_set: histogram median,
+// cached per-victim values) agrees with the full evaluation the tables
+// print (evaluate: sorted median) for random deployments on the real
+// campaign dataset.
 class KernelVsDirect : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(KernelVsDirect, RandomDeploymentsAgree) {
@@ -221,7 +206,7 @@ TEST_P(KernelVsDirect, RandomDeploymentsAgree) {
   const ResilienceAnalyzer analyzer(store);
   netsim::Rng rng(GetParam());
 
-  auto ws = analyzer.make_workspace();
+  auto scratch = analyzer.make_scratch();
   for (int trial = 0; trial < 25; ++trial) {
     const std::size_t size = 1 + rng.index(8);
     std::set<core::PerspectiveIndex> chosen;
@@ -236,10 +221,8 @@ TEST_P(KernelVsDirect, RandomDeploymentsAgree) {
     spec.remotes.assign(chosen.begin(), chosen.end());
     spec.policy = mpic::QuorumPolicy(size, failures, false);
 
-    std::fill(ws.counts.begin(), ws.counts.end(), 0);
-    for (const auto p : spec.remotes) analyzer.add_perspective(ws, p);
-    const auto kernel = analyzer.score(ws, spec.policy.required(),
-                                       std::nullopt);
+    const auto kernel = analyzer.score_set(
+        spec.remotes, spec.policy.required(), std::nullopt, scratch);
     const auto direct = analyzer.evaluate(spec);
     EXPECT_DOUBLE_EQ(kernel.median, direct.median);
     EXPECT_DOUBLE_EQ(kernel.average, direct.average);

@@ -8,33 +8,15 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
+#include "store_bytes.hpp"
 #include "testbed_fixture.hpp"
 
 namespace marcopolo::core {
 namespace {
 
+using testing_support::mprs_bytes;
+using testing_support::same_bytes;
 using testing_support::shared_testbed;
-
-void expect_stores_identical(const ResultStore& a, const ResultStore& b) {
-  ASSERT_EQ(a.num_sites(), b.num_sites());
-  ASSERT_EQ(a.num_perspectives(), b.num_perspectives());
-  for (PerspectiveIndex p = 0; p < a.num_perspectives(); ++p) {
-    const auto lhs = a.hijack_words(p);
-    const auto rhs = b.hijack_words(p);
-    ASSERT_TRUE(std::equal(lhs.begin(), lhs.end(), rhs.begin()))
-        << "hijack words differ at perspective " << p;
-  }
-  for (SiteIndex v = 0; v < a.num_sites(); ++v) {
-    for (SiteIndex adv = 0; adv < a.num_sites(); ++adv) {
-      for (PerspectiveIndex p = 0; p < a.num_perspectives(); ++p) {
-        ASSERT_EQ(a.outcome(v, adv, p), b.outcome(v, adv, p))
-            << "outcome differs at (" << v << "," << adv << "," << p << ")";
-      }
-    }
-  }
-}
 
 TEST(CampaignFlight, RecordingDoesNotChangeResultBytes) {
   FastCampaignConfig plain;
@@ -51,7 +33,7 @@ TEST(CampaignFlight, RecordingDoesNotChangeResultBytes) {
     recorded.threads = threads;
     recorded.observers.recorder = &recorder;
     const ResultStore store = run_fast_campaign(shared_testbed(), recorded);
-    expect_stores_identical(baseline, store);
+    EXPECT_TRUE(same_bytes(mprs_bytes(baseline), mprs_bytes(store)));
 
     const obs::FlightJournal journal = recorder.drain();
     // Every task produces one span (diagonal tasks included); one verdict
@@ -139,7 +121,8 @@ TEST(CampaignFlight, OrchestratorRecordingIsPureObserver) {
   bare.observers.recorder = nullptr;
   Orchestrator control(testbed, bare);
   const auto control_out = control.run();
-  expect_stores_identical(out.results, control_out.results);
+  EXPECT_TRUE(
+      same_bytes(mprs_bytes(out.results), mprs_bytes(control_out.results)));
 
   // One attack span per concluded attempt, phases in virtual-time order.
   ASSERT_EQ(journal.attacks.size(), out.stats.attack_attempts);

@@ -9,33 +9,15 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
+#include "store_bytes.hpp"
 #include "testbed_fixture.hpp"
 
 namespace marcopolo::core {
 namespace {
 
+using testing_support::mprs_bytes;
+using testing_support::same_bytes;
 using testing_support::shared_testbed;
-
-void expect_stores_identical(const ResultStore& a, const ResultStore& b) {
-  ASSERT_EQ(a.num_sites(), b.num_sites());
-  ASSERT_EQ(a.num_perspectives(), b.num_perspectives());
-  for (PerspectiveIndex p = 0; p < a.num_perspectives(); ++p) {
-    const auto lhs = a.hijack_words(p);
-    const auto rhs = b.hijack_words(p);
-    ASSERT_TRUE(std::equal(lhs.begin(), lhs.end(), rhs.begin()))
-        << "hijack words differ at perspective " << p;
-  }
-  for (SiteIndex v = 0; v < a.num_sites(); ++v) {
-    for (SiteIndex adv = 0; adv < a.num_sites(); ++adv) {
-      for (PerspectiveIndex p = 0; p < a.num_perspectives(); ++p) {
-        ASSERT_EQ(a.outcome(v, adv, p), b.outcome(v, adv, p))
-            << "outcome differs at (" << v << "," << adv << "," << p << ")";
-      }
-    }
-  }
-}
 
 TEST(CampaignMetrics, RegistryDoesNotChangeResultBytes) {
   // The regression the whole design defends against: metrics on/off (and
@@ -50,7 +32,7 @@ TEST(CampaignMetrics, RegistryDoesNotChangeResultBytes) {
     instrumented.threads = threads;
     instrumented.observers.metrics = &registry;
     const ResultStore store = run_fast_campaign(shared_testbed(), instrumented);
-    expect_stores_identical(baseline, store);
+    EXPECT_TRUE(same_bytes(mprs_bytes(baseline), mprs_bytes(store)));
     EXPECT_GT(registry.snapshot().counter("campaign.tasks_executed"), 0u)
         << "registry attached but nothing was counted (threads=" << threads
         << ")";
@@ -193,7 +175,8 @@ TEST(CampaignMetrics, OrchestratorCountersMirrorStats) {
   bare.observers.metrics = nullptr;
   Orchestrator control(testbed, bare);
   const auto control_out = control.run();
-  expect_stores_identical(out.results, control_out.results);
+  EXPECT_TRUE(
+      same_bytes(mprs_bytes(out.results), mprs_bytes(control_out.results)));
 }
 
 }  // namespace

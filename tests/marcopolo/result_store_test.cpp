@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <sstream>
@@ -54,53 +53,6 @@ TEST(ResultStore, PairCompleteness) {
   store.record(0, 1, 1, OriginReached::None);
   EXPECT_TRUE(store.pair_complete(0, 1))
       << "None is a recorded outcome, distinct from unrecorded";
-}
-
-TEST(ResultStore, HijackWordsLayout) {
-  ResultStore store(2, 2);
-  store.record(0, 1, 1, OriginReached::Adversary);
-  const auto row = store.hijack_words(1);
-  ASSERT_EQ(row.size(), store.words_per_row());
-  const auto bit = [&](std::span<const std::uint64_t> words,
-                       std::size_t pair) {
-    return (words[pair / 64] >> (pair % 64)) & 1;
-  };
-  EXPECT_EQ(bit(row, store.pair_index(0, 1)), 1u);
-  EXPECT_EQ(bit(row, store.pair_index(1, 0)), 0u);
-  EXPECT_EQ(bit(store.hijack_words(0), store.pair_index(0, 1)), 0u);
-  EXPECT_THROW((void)store.hijack_words(5), std::out_of_range);
-}
-
-TEST(ResultStore, HijackWordsTailBitsStayZero) {
-  // 3 sites -> 9 pairs in a 64-bit word: bits 9..63 must never be set,
-  // whatever is recorded (the tail-mask invariant analysis kernels rely
-  // on for whole-word reductions).
-  ResultStore store(3, 2);
-  for (SiteIndex v = 0; v < 3; ++v) {
-    for (SiteIndex a = 0; a < 3; ++a) {
-      for (PerspectiveIndex p = 0; p < 2; ++p) {
-        store.record(v, a, p, OriginReached::Adversary);
-      }
-    }
-  }
-  ASSERT_EQ(store.words_per_row(), 1u);
-  for (PerspectiveIndex p = 0; p < 2; ++p) {
-    EXPECT_EQ(store.hijack_words(p)[0] >> store.num_pairs(), 0u);
-  }
-}
-
-TEST(ResultStore, HijackPlaneIsBitPacked) {
-  // The packed plane must be ~8x smaller than the former byte-per-pair
-  // plane: words_per_row * 8 bytes per perspective vs num_pairs bytes.
-  const ResultStore store(32, 106);
-  const std::size_t byte_plane = store.num_pairs() * store.num_perspectives();
-  EXPECT_EQ(store.hijack_plane_bytes(),
-            store.words_per_row() * sizeof(std::uint64_t) *
-                store.num_perspectives());
-  EXPECT_LE(store.hijack_plane_bytes() * 8, byte_plane + 63 * 8 * 106)
-      << "packed plane must be within one padding word per row of 1/8th";
-  // 32*32 = 1024 pairs = exactly 16 words: exactly 8x here.
-  EXPECT_EQ(store.hijack_plane_bytes() * 8, byte_plane);
 }
 
 TEST(ResultStore, RecordValidatesIndices) {
@@ -160,12 +112,6 @@ TEST(ResultStore, BinaryRoundTripPreservesEveryCellIncludingUnrecorded) {
         EXPECT_EQ(loaded.hijacked(v, a, p), store.hijacked(v, a, p));
       }
     }
-  }
-  // The rebuilt packed plane must match word-for-word.
-  for (PerspectiveIndex p = 0; p < 3; ++p) {
-    const auto lhs = store.hijack_words(p);
-    const auto rhs = loaded.hijack_words(p);
-    ASSERT_TRUE(std::equal(lhs.begin(), lhs.end(), rhs.begin()));
   }
 }
 
