@@ -1,9 +1,18 @@
 #include "marcopolo/live_campaign.hpp"
 
+#include <stdexcept>
+
 namespace marcopolo::core {
 
 LiveCampaignOutput run_live_campaign(const Testbed& testbed,
                                      const LiveCampaignConfig& config) {
+  // The event-driven speakers have no leak model: a leaking adversary
+  // would announce nothing, and the no-attack verdicts would be recorded
+  // as if measured.
+  if (config.type == bgp::AttackType::RouteLeak) {
+    throw std::invalid_argument(
+        "the live campaign cannot run route-leak attacks");
+  }
   const auto& sites = testbed.sites();
   const auto& graph = testbed.internet().graph();
 
@@ -29,7 +38,8 @@ LiveCampaignOutput run_live_campaign(const Testbed& testbed,
   bgpd::BgpNetwork net(graph, std::move(locations), sim, bgp_cfg);
 
   LiveCampaignOutput out{
-      ResultStore(sites.size(), testbed.perspectives().size()), {}};
+      ResultStore(sites.size(), testbed.perspectives().size(), {config.type}),
+      {}};
   const bgp::RoaRegistry* edge_roas =
       config.cloud_edge_rov ? config.roas : nullptr;
 
@@ -65,6 +75,8 @@ LiveCampaignOutput run_live_campaign(const Testbed& testbed,
                                        bgp::OriginRole::Adversary});
         break;
       }
+      case bgp::AttackType::RouteLeak:
+        break;  // rejected before the network was built
     }
 
     // Step 3: propagation wait, then the DCV snapshot (step 4/5).

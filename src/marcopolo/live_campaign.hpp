@@ -17,6 +17,8 @@
 namespace marcopolo::core {
 
 struct LiveCampaignConfig {
+  /// Attack to announce. RouteLeak is refused: the live speakers have no
+  /// leak model.
   bgp::AttackType type = bgp::AttackType::EquallySpecific;
   /// Delay between announcement and the DCV snapshot (paper: 5 minutes).
   netsim::Duration propagation_wait = netsim::minutes(5);
@@ -44,6 +46,8 @@ struct LiveCampaignOutput {
   LiveCampaignStats stats;
 };
 
+/// Runs every configured pair; the result store's one plane is tagged
+/// config.type. Throws std::invalid_argument for RouteLeak.
 [[nodiscard]] LiveCampaignOutput run_live_campaign(
     const Testbed& testbed, const LiveCampaignConfig& config);
 

@@ -1,6 +1,8 @@
 // Tests for the live (event-driven) campaign runner.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "marcopolo/live_campaign.hpp"
 #include "testbed_fixture.hpp"
 
@@ -127,6 +129,8 @@ TEST(LiveCampaign, SubPrefixCapturesPerspectives) {
   cfg.pairs = {{3, 22}};
   cfg.type = bgp::AttackType::SubPrefix;
   const auto out = run_live_campaign(shared_testbed(), cfg);
+  ASSERT_EQ(out.results.num_attacks(), 1u);
+  EXPECT_STREQ(bgp::to_cstring(out.results.attack_types()[0]), "sub-prefix");
   std::size_t captured = 0;
   for (PerspectiveIndex p = 0; p < out.results.num_perspectives(); ++p) {
     if (out.results.hijacked(3, 22, p)) ++captured;
@@ -134,6 +138,16 @@ TEST(LiveCampaign, SubPrefixCapturesPerspectives) {
   EXPECT_GT(static_cast<double>(captured) /
                 static_cast<double>(out.results.num_perspectives()),
             0.9);
+}
+
+TEST(LiveCampaign, RouteLeakIsRefused) {
+  // The live engine has no leak model; recording no-attack verdicts as
+  // route-leak outcomes would pass for a measurement.
+  LiveCampaignConfig cfg;
+  cfg.pairs = {{0, 1}};
+  cfg.type = bgp::AttackType::RouteLeak;
+  EXPECT_THROW((void)run_live_campaign(shared_testbed(), cfg),
+               std::invalid_argument);
 }
 
 TEST(LiveCampaign, ForgedOriginWeakerThanPlain) {
