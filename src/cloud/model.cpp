@@ -63,6 +63,9 @@ CloudConfig default_config(topo::CloudProvider provider) {
       break;
     case topo::CloudProvider::Vultr:
       throw std::invalid_argument("Vultr is the node pool, not a perspective host");
+    case topo::CloudProvider::Peering:
+      throw std::invalid_argument(
+          "PEERING is a node pool, not a perspective host");
   }
   return cfg;
 }

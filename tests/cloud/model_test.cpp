@@ -29,7 +29,10 @@ TEST(CloudDefaults, MatchPaperPolicies) {
   EXPECT_EQ(azure.policy, EgressPolicy::HotPotato);
   EXPECT_GT(azure.peers_per_pop, aws.peers_per_pop);  // densest peering
 
+  // The node pools host no perspectives.
   EXPECT_THROW((void)default_config(topo::CloudProvider::Vultr),
+               std::invalid_argument);
+  EXPECT_THROW((void)default_config(topo::CloudProvider::Peering),
                std::invalid_argument);
 }
 
