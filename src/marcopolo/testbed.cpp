@@ -34,8 +34,10 @@ Testbed::Testbed(const TestbedConfig& config) : internet_(config.internet) {
       perspective_cloud_.push_back(cloud_idx);
     }
   }
-
-  internet_.graph().validate();
+  // Internet's constructor validated the graph. The sites and backbones
+  // above only add leaf ASes through add_provider_customer / add_peering,
+  // which write both sides of each link and refuse self loops, and an AS
+  // without customers closes no provider cycle: the graph stays valid.
 }
 
 std::vector<std::uint16_t> Testbed::perspectives_of(

@@ -59,6 +59,13 @@ TEST(Testbed, BackbonesAreDistinctAses) {
   EXPECT_EQ(backbones.size(), 3u);
 }
 
+TEST(Testbed, BuiltGraphValidates) {
+  // The graph is validated once, inside Internet's constructor; the sites
+  // and cloud backbones wired after it must leave it valid.
+  const Testbed& tb = shared_testbed();
+  EXPECT_NO_THROW(tb.internet().graph().validate());
+}
+
 TEST(Testbed, PerspectiveOutcomeMatchesCloudModel) {
   const Testbed& tb = shared_testbed();
   const bgp::ScenarioConfig cfg;
