@@ -79,8 +79,12 @@ struct QuorumPolicy {
   [[nodiscard]] std::string to_string() const {
     std::string out = "(";
     if (primary_required) out += "primary + ";
-    out += std::to_string(remote_count) + ", N";
-    if (max_failures > 0) out += "-" + std::to_string(max_failures);
+    out += std::to_string(remote_count);
+    out += ", N";
+    if (max_failures > 0) {
+      out += '-';
+      out += std::to_string(max_failures);
+    }
     out += ")";
     return out;
   }

@@ -103,7 +103,10 @@ std::string session_usage(unsigned accepted) {
   for (const Flag& flag : kFlags) {
     if ((accepted & flag.bit) == 0) continue;
     if (!usage.empty()) usage += ' ';
-    usage += "[" + std::string(flag.name) + std::string(flag.value) + "]";
+    usage += '[';
+    usage += flag.name;
+    usage += flag.value;
+    usage += ']';
   }
   return usage;
 }

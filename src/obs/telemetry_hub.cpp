@@ -340,7 +340,10 @@ void TelemetryHub::write_tick_line(const TimeseriesTick& tick) {
     for (const auto& [name, value] : tick.counters) {
       if (!first) line += ",";
       first = false;
-      line += "\"" + json_escape(name) + "\":" + std::to_string(value);
+      line += '"';
+      line += json_escape(name);
+      line += "\":";
+      line += std::to_string(value);
     }
     line += "}";
   }

@@ -11,7 +11,7 @@ mpic::DeploymentSpec spec_with(std::vector<PerspectiveIndex> remotes,
                                std::optional<PerspectiveIndex> primary =
                                    std::nullopt) {
   mpic::DeploymentSpec spec;
-  spec.name = "s";
+  spec.name = std::string("s");
   spec.remotes = std::move(remotes);
   spec.primary = primary;
   spec.policy = mpic::QuorumPolicy(spec.remotes.size(), 2,

@@ -89,13 +89,9 @@ TEST(Propagation, CustomerRoutePreferredOverPeerAndProvider) {
 }
 
 TEST(Propagation, ShorterPathWinsWithinSameClass) {
-  //        top
-  //       /    \
-  //      a      b
-  //      |      |
-  //      src    c
-  //             |
-  //             src2? — use one origin, two provider paths of different len.
+  // One origin, two provider paths of different length up to top:
+  //   top - a - src        (top hears "2 5")
+  //   top - b - c - src    (top hears "3 4 5")
   AsGraph g;
   const NodeId top = g.add_as(Asn{1});
   const NodeId a = g.add_as(Asn{2});

@@ -61,8 +61,8 @@ TEST_P(TopologySeedSweep, HeadlineInvariantsHold) {
     for (core::SiteIndex a = 0; a < store.num_sites(); ++a) {
       if (v == a) continue;
       for (core::PerspectiveIndex p = 0; p < store.num_perspectives(); ++p) {
-        plain_hits += store.hijacked(v, a, p) ? 1 : 0;
-        forged_hits += forged_store.hijacked(v, a, p) ? 1 : 0;
+        if (store.hijacked(v, a, p)) ++plain_hits;
+        if (forged_store.hijacked(v, a, p)) ++forged_hits;
       }
     }
   }

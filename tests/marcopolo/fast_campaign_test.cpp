@@ -54,8 +54,8 @@ TEST(FastCampaign, ForgedOriginHijacksNoMorePerspectivesOverall) {
     for (SiteIndex a = 0; a < n; ++a) {
       if (v == a) continue;
       for (PerspectiveIndex p = 0; p < plain.num_perspectives(); ++p) {
-        plain_hijacks += plain.hijacked(v, a, p) ? 1 : 0;
-        forged_hijacks += forged.hijacked(v, a, p) ? 1 : 0;
+        if (plain.hijacked(v, a, p)) ++plain_hijacks;
+        if (forged.hijacked(v, a, p)) ++forged_hijacks;
       }
     }
   }

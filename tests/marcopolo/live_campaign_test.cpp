@@ -87,8 +87,8 @@ TEST(LiveCampaign, SequentialAnnouncementsFavorTheVictim) {
   for (const auto& [v, a] : simultaneous.pairs) {
     for (PerspectiveIndex p = 0; p < sim_out.results.num_perspectives();
          ++p) {
-      sim_hijacks += sim_out.results.hijacked(v, a, p) ? 1 : 0;
-      seq_hijacks += seq_out.results.hijacked(v, a, p) ? 1 : 0;
+      if (sim_out.results.hijacked(v, a, p)) ++sim_hijacks;
+      if (seq_out.results.hijacked(v, a, p)) ++seq_hijacks;
     }
   }
   EXPECT_LE(seq_hijacks, sim_hijacks)
@@ -164,8 +164,8 @@ TEST(LiveCampaign, ForgedOriginWeakerThanPlain) {
   for (const auto& [v, a] : plain.pairs) {
     for (PerspectiveIndex p = 0; p < plain_out.results.num_perspectives();
          ++p) {
-      plain_hits += plain_out.results.hijacked(v, a, p) ? 1 : 0;
-      forged_hits += forged_out.results.hijacked(v, a, p) ? 1 : 0;
+      if (plain_out.results.hijacked(v, a, p)) ++plain_hits;
+      if (forged_out.results.hijacked(v, a, p)) ++forged_hits;
     }
   }
   EXPECT_LT(forged_hits, plain_hits);

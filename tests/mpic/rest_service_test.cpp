@@ -16,9 +16,11 @@ class RestServiceTest : public ::testing::Test {
     server = std::make_unique<dcv::SimWebServer>(
         net, netsim::Ipv4Addr(10, 0, 0, 1), netsim::GeoPoint{}, "victim");
     for (int i = 0; i < 4; ++i) {
+      std::string name = "p";
+      name += std::to_string(i);
       agents.push_back(std::make_unique<dcv::PerspectiveAgent>(
           net, dns, netsim::Ipv4Addr(10, 1, 0, static_cast<std::uint8_t>(i + 1)),
-          netsim::GeoPoint{}, "p" + std::to_string(i)));
+          netsim::GeoPoint{}, name));
     }
   }
 

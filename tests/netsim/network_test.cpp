@@ -161,14 +161,20 @@ TEST_F(NetworkTest, ForwardingPlaneOverridesOwnership) {
 
   std::string body;
   net.send(client, Ipv4Addr(10, 0, 0, 1), HttpRequest{},
-           [&](std::optional<HttpResponse> resp) { body = resp->body; });
+           [&](std::optional<HttpResponse> resp) {
+             ASSERT_TRUE(resp.has_value());
+             body = resp->body;
+           });
   sim.run();
   EXPECT_EQ(body, "hijacked");
 
   // Restoring default forwarding reaches the first owner again.
   net.set_forwarding_plane(nullptr);
   net.send(client, Ipv4Addr(10, 0, 0, 1), HttpRequest{},
-           [&](std::optional<HttpResponse> resp) { body = resp->body; });
+           [&](std::optional<HttpResponse> resp) {
+             ASSERT_TRUE(resp.has_value());
+             body = resp->body;
+           });
   sim.run();
   EXPECT_EQ(body, "legit");
 }
@@ -184,7 +190,10 @@ TEST_F(NetworkTest, HandlerSwapAffectsInFlightDelivery) {
                                  });
   std::string body;
   net.send(client, Ipv4Addr(10, 0, 0, 1), HttpRequest{},
-           [&](std::optional<HttpResponse> resp) { body = resp->body; });
+           [&](std::optional<HttpResponse> resp) {
+             ASSERT_TRUE(resp.has_value());
+             body = resp->body;
+           });
   // Swap before the request delivers: handler lookup happens at delivery.
   net.set_handler(server, [](const HttpRequest&) {
     return HttpResponse::text("new");

@@ -578,9 +578,9 @@ void print_diff_tables(const obs::RunComparison& comparison) {
   if (!comparison.quantiles.empty()) {
     analysis::TextTable table({"Histogram", "q", "Base", "Cand", "Delta"});
     for (const obs::QuantileDelta& quantile : comparison.quantiles) {
-      table.add_row({quantile.name,
-                     "p" + std::to_string(static_cast<int>(
-                               quantile.q * 100.0 + 0.5)),
+      std::string q = "p";
+      q += std::to_string(static_cast<int>(quantile.q * 100.0 + 0.5));
+      table.add_row({quantile.name, q,
                      format_double(quantile.base, "%.0f"),
                      format_double(quantile.cand, "%.0f"),
                      format_signed_pct(quantile.pct())});
@@ -952,7 +952,10 @@ int cmd_tail(const std::vector<std::string>& args) {
   for (std::size_t i = begin; i < read.ticks.size(); ++i) {
     const obs::TimeseriesTick& tick = read.ticks[i];
     std::string tasks = std::to_string(tick.tasks_done);
-    if (tick.tasks_total != 0) tasks += "/" + std::to_string(tick.tasks_total);
+    if (tick.tasks_total != 0) {
+      tasks += '/';
+      tasks += std::to_string(tick.tasks_total);
+    }
     if (tick.final_tick) tasks += " (final)";
     table.add_row(
         {std::to_string(tick.tick),
