@@ -3,9 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
+#include <string>
 
+#include "netsim/random.hpp"
 #include "testbed_fixture.hpp"
 
 namespace marcopolo::analysis {
@@ -342,6 +348,177 @@ TEST(Optimizer, RejectsInvalidConfigs) {
   cfg.set_size = 3;
   cfg.max_failures = 3;
   EXPECT_THROW((void)optimizer.optimize(cfg), std::invalid_argument);
+}
+
+using Ranked =
+    std::vector<std::pair<std::vector<PerspectiveIndex>,
+                          ResilienceAnalyzer::Score>>;
+
+struct ReferenceSearch {
+  Ranked top;  ///< best first
+  SearchStats stats;
+};
+
+/// Leaf-by-leaf reference for the exhaustive search: the same candidate
+/// order, RIR cap, top-k rule and upper-bound prune, but every node and
+/// every leaf scored whole with score_set, and the top-k kept as a sorted
+/// vector rather than a heap.
+ReferenceSearch reference_search(const ResilienceAnalyzer& an,
+                                 const OptimizerConfig& cfg) {
+  const std::size_t k = cfg.set_size;
+  const std::size_t required = k - cfg.max_failures;
+  const auto better = [](const Ranked::value_type& a,
+                         const Ranked::value_type& b) {
+    if (b.second < a.second) return true;
+    if (a.second < b.second) return false;
+    return a.first < b.first;
+  };
+  auto scratch = an.make_scratch();
+  ReferenceSearch out;
+  std::vector<PerspectiveIndex> current;
+  std::array<std::size_t, 5> per_rir{};
+  auto recurse = [&](auto&& self, std::size_t next) -> void {
+    if (current.size() == k) {
+      ++out.stats.complete_sets_scored;
+      Ranked::value_type entry{
+          current, an.score_set(current, required, std::nullopt, scratch)};
+      out.top.insert(
+          std::upper_bound(out.top.begin(), out.top.end(), entry, better),
+          entry);
+      if (out.top.size() > cfg.top_k) out.top.pop_back();
+      return;
+    }
+    if (!current.empty() && out.top.size() == cfg.top_k &&
+        an.score_set(current, required, std::nullopt, scratch) <
+            out.top.back().second) {
+      ++out.stats.subtrees_pruned;
+      return;
+    }
+    for (std::size_t i = next;
+         i + (k - current.size()) <= cfg.candidates.size(); ++i) {
+      const auto rir =
+          cfg.max_per_rir > 0
+              ? static_cast<std::size_t>(cfg.rir_of.at(cfg.candidates[i]))
+              : 0;
+      if (cfg.max_per_rir > 0 && per_rir[rir] >= cfg.max_per_rir) continue;
+      ++per_rir[rir];
+      current.push_back(cfg.candidates[i]);
+      self(self, i + 1);
+      current.pop_back();
+      --per_rir[rir];
+    }
+  };
+  recurse(recurse, 0);
+  return out;
+}
+
+/// Runs the exhaustive search on 1, 4 and 64 threads for every X in
+/// {1, 2, 3, 5, 6}, every quorum 1..X, top_k in {1, 7, more than C(n, X)}
+/// and the RIR cap off and on, and requires the reference's sets,
+/// bit-identical scores and, wherever they are deterministic, the same
+/// SearchStats. Counts into `ties` the adjacent reference entries that tie
+/// exactly on score, so a caller can check that ties reached the set
+/// tie-break.
+void expect_exhaustive_matches_reference(
+    const ResilienceAnalyzer& an, std::vector<PerspectiveIndex> candidates,
+    std::vector<topo::Rir> rir_of, std::size_t& ties) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  DeploymentOptimizer optimizer(an);
+  for (const std::size_t x : {1u, 2u, 3u, 5u, 6u}) {
+    std::size_t combinations = 1;  // C(n, x)
+    for (std::size_t i = 0; i < x; ++i) {
+      combinations = combinations * (candidates.size() - i) / (i + 1);
+    }
+    for (std::size_t required = 1; required <= x; ++required) {
+      for (const std::size_t top_k : {std::size_t{1}, std::size_t{7},
+                                      combinations + 1}) {
+        for (const std::size_t cap : {0u, 2u}) {
+          OptimizerConfig cfg;
+          cfg.set_size = x;
+          cfg.max_failures = x - required;
+          cfg.candidates = candidates;
+          cfg.top_k = top_k;
+          cfg.max_per_rir = cap;
+          cfg.rir_of = rir_of;
+          const ReferenceSearch ref = reference_search(an, cfg);
+          for (std::size_t i = 1; i < ref.top.size(); ++i) {
+            if (ref.top[i - 1].second == ref.top[i].second) ++ties;
+          }
+          // Pruning depends on how the first elements were shared out
+          // between threads, unless the top-k never fills.
+          const bool stats_deterministic = ref.top.size() < top_k;
+          for (const std::size_t threads : {1u, 4u, 64u}) {
+            SCOPED_TRACE("X=" + std::to_string(x) + " required=" +
+                         std::to_string(required) + " top_k=" +
+                         std::to_string(top_k) + " max_per_rir=" +
+                         std::to_string(cap) + " threads=" +
+                         std::to_string(threads));
+            SearchStats stats;
+            cfg.stats = &stats;
+            cfg.threads = threads;
+            const auto ranked = optimizer.optimize(cfg);
+            ASSERT_EQ(ranked.size(), ref.top.size());
+            for (std::size_t i = 0; i < ranked.size(); ++i) {
+              EXPECT_EQ(ranked[i].spec.remotes, ref.top[i].first) << i;
+              EXPECT_EQ(bits(ranked[i].score.median),
+                        bits(ref.top[i].second.median))
+                  << i;
+              EXPECT_EQ(bits(ranked[i].score.average),
+                        bits(ref.top[i].second.average))
+                  << i;
+            }
+            if (threads == 1 || stats_deterministic) {
+              EXPECT_EQ(stats.complete_sets_scored,
+                        ref.stats.complete_sets_scored);
+              EXPECT_EQ(stats.subtrees_pruned, ref.stats.subtrees_pruned);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Optimizer, ExhaustiveLeavesMatchScoreSetOnCampaignData) {
+  std::vector<topo::Rir> rirs;
+  for (const auto& rec : shared_testbed().perspectives()) {
+    rirs.push_back(rec.rir);
+  }
+  std::size_t ties = 0;
+  expect_exhaustive_matches_reference(analyzer(), first_n_aws(10), rirs,
+                                      ties);
+}
+
+TEST(Optimizer, ExhaustiveLeavesMatchScoreSetThroughExactTies) {
+  // Perspectives 6..11 repeat the rows of 0..5, so swapping a member for
+  // its twin leaves the score unchanged and the lexicographic tie-break
+  // decides the ranking. 9 sites put the 81 pairs across a word boundary.
+  constexpr std::size_t kSites = 9;
+  constexpr std::size_t kDistinct = 6;
+  core::ResultStore store(kSites, 2 * kDistinct);
+  netsim::Rng rng(23);
+  for (core::SiteIndex v = 0; v < kSites; ++v) {
+    for (core::SiteIndex a = 0; a < kSites; ++a) {
+      if (v == a) continue;
+      for (core::PerspectiveIndex p = 0; p < kDistinct; ++p) {
+        const auto outcome = rng.chance(0.35) ? bgp::OriginReached::Adversary
+                                              : bgp::OriginReached::Victim;
+        store.record(v, a, p, outcome);
+        store.record(v, a, static_cast<core::PerspectiveIndex>(p + kDistinct),
+                     outcome);
+      }
+    }
+  }
+  const ResilienceAnalyzer local(store);
+  std::vector<PerspectiveIndex> candidates;
+  std::vector<topo::Rir> rirs;
+  for (std::size_t p = 0; p < 2 * kDistinct; ++p) {
+    candidates.push_back(static_cast<PerspectiveIndex>(p));
+    rirs.push_back(topo::kAllRirs[p % topo::kAllRirs.size()]);
+  }
+  std::size_t ties = 0;
+  expect_exhaustive_matches_reference(local, candidates, rirs, ties);
+  EXPECT_GT(ties, 0u) << "duplicated rows must produce exact score ties";
 }
 
 }  // namespace
