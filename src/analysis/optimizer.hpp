@@ -4,11 +4,13 @@
 // highest median resilience under an N-Y quorum, breaking median ties by
 // average resilience. Two strategies:
 //
-//   Exhaustive: depth-first walk of all C(n, X) candidate combinations,
-//   scoring each node's set whole with ResilienceAnalyzer::score_set
-//   (AND/OR/bit-sliced reductions over the OutcomeMatrix, no per-pair
-//   counters). This is what produces the paper's optimal deployments and
-//   top-150 lists.
+//   Exhaustive: depth-first walk of all C(n, X) candidate combinations.
+//   Each node on the path keeps quorum planes ("at least r members
+//   hijacked", r = 0..X-Y, one bit per pair), derived from its parent's in
+//   a few word operations per plane; its last plane is its success mask
+//   and prune score. A leaf's mask is sure | (edge & row) from its
+//   parent's two top planes, scored with score_from_mask. This is what
+//   produces the paper's optimal deployments and top-150 lists.
 //
 //   Beam: greedy beam search for large candidate pools; approximate but
 //   orders of magnitude cheaper. Used for cross-provider sweeps. Its best

@@ -13,8 +13,10 @@
 // build_success_mask reduces a whole set's rows to the attack-success
 // mask with word-level AND/OR/bit-sliced operations (no per-pair
 // counters), and score_from_mask takes per-victim popcounts of it.
-// Exhaustive and beam search, swap hill climbing and primary attachment
-// all score this way; DESIGN.md §10 has the layout.
+// Beam search, swap hill climbing and primary attachment score this way.
+// The exhaustive search builds each leaf's mask from its parent's quorum
+// planes instead (optimizer.cpp) and scores it with the same
+// score_from_mask; DESIGN.md §10 has the layout.
 #pragma once
 
 #include <optional>
